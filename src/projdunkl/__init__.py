@@ -15,7 +15,6 @@ from .rootgeom import (
     decompose_xi,
     project,
     reflect,
-    validate_subsystem,
 )
 from .polycore import (
     LinearMap,
@@ -89,7 +88,7 @@ __version__ = "0.1.0"
 __all__ = [
     "OrthogonalSubsystem", "RationalVector", "XiDecomposition",
     "build_subsystem_A", "build_subsystem_B", "build_subsystem_coordinate",
-    "decompose_xi", "project", "reflect", "validate_subsystem",
+    "decompose_xi", "project", "reflect",
     "LinearMap", "MPoly", "classical_dunkl", "compose_linear",
     "directional_derivative", "divided_difference", "exact_div_linear",
     "partial_derivative", "poly_eval", "reflection_difference",

@@ -46,10 +46,8 @@ def _scale_display(subsystem: OrthogonalSubsystem) -> str:
 
 
 def _cmd_verify(args) -> int:
-    faults = set(args.inject_fault or [])
-    if args.perturb_kappa:
-        faults.add("commutativity")
-    cfg = SuiteConfig(seed=args.seed, faults=frozenset(faults), workers=args.workers)
+    cfg = SuiteConfig(seed=args.seed, faults=frozenset(args.inject_fault or ()),
+                      workers=args.workers)
     report = run_suites(args.suite or None, cfg)
     for line in report.console_lines():
         print(line)
@@ -131,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=12345)
     p_verify.add_argument("--out", help="write the JSONL report here")
     p_verify.add_argument("--workers", type=int, default=4)
-    p_verify.add_argument("--perturb-kappa", action="store_true",
-                          help="mismatch multiplicities inside the "
-                               "commutativity suite (must fail)")
     p_verify.add_argument("--inject-fault", action="append", choices=SUITE_NAMES,
                           help="activate the designated fault of this suite "
                                "(repeatable; the suite must fail)")

@@ -72,10 +72,6 @@ class GammaRatio:
     def one(cls) -> "GammaRatio":
         return cls(1)
 
-    @classmethod
-    def of_gamma(cls, arg) -> "GammaRatio":
-        return cls(1, num=[arg])
-
     # ---- queries ----------------------------------------------------------
     def is_rational(self) -> bool:
         return not self.factors

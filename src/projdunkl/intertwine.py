@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gammaratio import GammaRatio, pochhammer
-from .polycore import MPoly
+from .polycore import MPoly, _map_root_blocks, _substitute
 from .quadrature import get_rule, graded_panels
 from .rootgeom import OrthogonalSubsystem, RationalVector, _as_fraction
 
@@ -112,13 +112,7 @@ class GPoly:
         parts = []
         for e in sorted(self.terms, key=MPoly._grlex_key):
             c = self.terms[e]
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(f"x{i + 1}")
-                elif k > 1:
-                    factors.append(f"x{i + 1}^{k}")
-            body = "*".join(factors)
+            body = MPoly._monomial_text(e)
             parts.append(f"[{c}]*{body}" if body else f"[{c}]")
         return " + ".join(parts)
 
@@ -185,18 +179,7 @@ def _chi_block(alpha_entries: tuple, kappa: Fraction, exps: tuple) -> MPoly:
                 e[nb] = 1
                 img.terms[tuple(e)] = img.terms.get(tuple(e), Fraction(0)) + quad
         images.append(img)
-    powers: list[dict[int, MPoly]] = [{0: MPoly.constant(next_ring, 1)} for _ in range(nb)]
-
-    def power(i: int, k: int) -> MPoly:
-        cache = powers[i]
-        if k not in cache:
-            cache[k] = power(i, k - 1) * images[i]
-        return cache[k]
-
-    expanded = MPoly.constant(next_ring, 1)
-    for i, k in enumerate(exps):
-        if k:
-            expanded = expanded * power(i, k)
+    expanded = _substitute(MPoly.monomial(exps), images)
     out = MPoly.zero(nb)
     for e, c in expanded.terms.items():
         k = e[nb]
@@ -211,30 +194,7 @@ def _chi_block(alpha_entries: tuple, kappa: Fraction, exps: tuple) -> MPoly:
 
 
 def _chi_root_step(p: MPoly, alpha: RationalVector, kappa: Fraction) -> MPoly:
-    support = tuple(i for i in range(alpha.dim) if alpha[i])
-    alpha_block = tuple(alpha[i] for i in support)
-    out = MPoly.zero(p.nvars)
-    acc = out.terms
-    for e, c in p.terms.items():
-        be = tuple(e[i] for i in support)
-        if not any(be):
-            if c:
-                acc[e] = acc.get(e, Fraction(0)) + c
-                if not acc[e]:
-                    acc.pop(e)
-            continue
-        block = _chi_block(alpha_block, kappa, be)
-        for bexp, bc in block.terms.items():
-            e2 = list(e)
-            for pos, i in enumerate(support):
-                e2[i] = bexp[pos]
-            key = tuple(e2)
-            s = acc.get(key, Fraction(0)) + c * bc
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return out
+    return _map_root_blocks(p, alpha, lambda block, be: _chi_block(block, kappa, be))
 
 
 def chi_poly_scaled(subsystem: OrthogonalSubsystem, p: MPoly) -> tuple[MPoly, GammaRatio]:

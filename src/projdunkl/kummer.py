@@ -23,13 +23,11 @@ its ill-conditioned a < 0 corner), and the divergent-series expansion
     S = sum_j (kappa-1)(kappa-2)...(kappa-j) z^(-j)
 
 (truncated at its smallest term) takes over for large |z|, where it is
-accurate far below double precision. Set PROJDUNKL_PRECISION=extended to route
-scalar evaluation through the series at 40 significant digits instead.
+accurate far below double precision.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,13 +45,6 @@ _SERIES_TERMS = 70
 _ASYM_TERMS = 40
 
 
-def _precision(precision: str | None) -> str:
-    p = precision or os.environ.get("PROJDUNKL_PRECISION", "double")
-    if p not in ("double", "extended"):
-        raise ValueError(f"unknown precision {p!r}; use 'double' or 'extended'")
-    return p
-
-
 def _series_nonbold(kappa: float, z: complex) -> complex:
     acc = term = 1.0 + 0.0j
     for n in range(_SERIES_TERMS):
@@ -62,23 +53,17 @@ def _series_nonbold(kappa: float, z: complex) -> complex:
     return acc
 
 
-def _series_nonbold_extended(kappa: float, z: complex, dps: int = 40) -> complex:
+def _bold_M_reference(kappa: float, z: complex) -> complex:
+    """bold M_kappa(z) from mpmath's 1F1 at 40 digits, as a test reference.
+
+    kappa enters mpmath as the exact value of the double and kappa + 1 is
+    formed at 40 digits, so the reference answers for exactly the kappa given.
+    """
     import mpmath as mp
 
-    # cancellation eats ~|z| * log10(e) digits, so widen the working
-    # precision with |z| to keep 40 significant digits in the result
-    dps = dps + int(math.ceil(abs(z) * 0.4343))
-    with mp.workdps(dps):
-        zz = mp.mpc(z)
-        acc = term = mp.mpc(1)
-        n = 0
-        while True:
-            term = term * zz / (kappa + 1 + n)
-            acc += term
-            n += 1
-            if abs(term) < mp.mpf(10) ** (-(dps + 5)) * (abs(acc) + 1):
-                break
-        return complex(acc)
+    with mp.workdps(40):
+        k = mp.mpf(kappa)
+        return complex(mp.hyp1f1(1, k + 1, z) / mp.gamma(k + 1))
 
 
 def _quad_bold(kappa: float, z: complex) -> complex:
@@ -104,7 +89,7 @@ def _asym_bold(kappa: float, z: complex) -> complex:
     return complex(np.exp(z) * z ** (-kappa) - s / (math.gamma(kappa) * z))
 
 
-def _eval(kappa: float, z: complex, precision: str) -> tuple[complex, complex]:
+def _eval(kappa: float, z: complex) -> tuple[complex, complex]:
     """(bold, nonbold) at one point."""
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
@@ -112,9 +97,6 @@ def _eval(kappa: float, z: complex, precision: str) -> tuple[complex, complex]:
     if kappa == 0:
         e = complex(np.exp(z)) if abs(z.imag) else complex(math.exp(z.real))
         return e, e
-    if precision == "extended":
-        nb = _series_nonbold_extended(kappa, z)
-        return nb / math.gamma(kappa + 1.0), nb
     r = abs(z)
     if r <= SERIES_RADIUS:
         nb = _series_nonbold(kappa, z)
@@ -126,18 +108,17 @@ def _eval(kappa: float, z: complex, precision: str) -> tuple[complex, complex]:
     return b, b * math.gamma(kappa + 1.0)
 
 
-def kummer_M(kappa: float, z: complex, precision: str | None = None) -> complex:
+def kummer_M(kappa: float, z: complex) -> complex:
     """M_kappa(z), normalized to 1 at the origin."""
-    return _eval(kappa, z, _precision(precision))[1]
+    return _eval(kappa, z)[1]
 
 
-def bold_M(kappa: float, z: complex, precision: str | None = None) -> complex:
+def bold_M(kappa: float, z: complex) -> complex:
     """The transform kernel normalization, 1 / Gamma(kappa + 1) at the origin."""
-    return _eval(kappa, z, _precision(precision))[0]
+    return _eval(kappa, z)[0]
 
 
-def bold_M_derivative(kappa: float, z: complex, n: int = 1,
-                      precision: str | None = None) -> complex:
+def bold_M_derivative(kappa: float, z: complex, n: int = 1) -> complex:
     """n-th derivative via the shift identity
 
         (d/dz) bold M_kappa = bold M_kappa - kappa bold M_(kappa+1),
@@ -149,14 +130,13 @@ def bold_M_derivative(kappa: float, z: complex, n: int = 1,
     total = 0.0 + 0.0j
     poch = 1.0
     for i in range(n + 1):
-        total += (-1) ** i * math.comb(n, i) * poch * bold_M(kappa + i, z, precision)
+        total += (-1) ** i * math.comb(n, i) * poch * bold_M(kappa + i, z)
         poch *= kappa + i
     return total
 
 
-def kummer_M_derivative(kappa: float, z: complex, n: int = 1,
-                        precision: str | None = None) -> complex:
-    return math.gamma(kappa + 1.0) * bold_M_derivative(kappa, z, n, precision)
+def kummer_M_derivative(kappa: float, z: complex, n: int = 1) -> complex:
+    return math.gamma(kappa + 1.0) * bold_M_derivative(kappa, z, n)
 
 
 def bold_M_on_imaginary(kappa: float, y: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .polycore import (
     MPoly,
+    _map_root_blocks,
     directional_derivative,
     divided_difference,
     exact_div_var_power,
@@ -52,30 +53,7 @@ def rho_poly(p: MPoly, alpha: RationalVector) -> MPoly:
     monomial factors into an invariant part times a block monomial; block
     results are cached across calls.
     """
-    if alpha.dim != p.nvars:
-        raise ValueError("dimension mismatch")
-    support = tuple(i for i in range(alpha.dim) if alpha[i])
-    if not support:
-        raise ValueError("zero root")
-    alpha_block = tuple(alpha[i] for i in support)
-    out = MPoly.zero(p.nvars)
-    acc = out.terms
-    for e, c in p.terms.items():
-        be = tuple(e[i] for i in support)
-        if not any(be):
-            continue
-        block = _rho_block(alpha_block, be)
-        for bexp, bc in block.terms.items():
-            e2 = list(e)
-            for pos, i in enumerate(support):
-                e2[i] = bexp[pos]
-            key = tuple(e2)
-            s = acc.get(key, Fraction(0)) + c * bc
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return out
+    return _map_root_blocks(p, alpha, _rho_block)
 
 
 def apply_T_poly(subsystem: OrthogonalSubsystem, xi: RationalVector, p: MPoly) -> MPoly:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .rootgeom import RationalVector, _as_fraction, _fraction_str, project, reflect
 
@@ -133,19 +133,19 @@ class MPoly:
     def _grlex_key(e: tuple[int, ...]):
         return (-sum(e), tuple(-k for k in e))
 
+    @staticmethod
+    def _monomial_text(e: tuple[int, ...]) -> str:
+        """'x1^2*x3' for (2, 0, 1); empty for the constant monomial."""
+        return "*".join(f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}"
+                        for i, k in enumerate(e) if k)
+
     def to_text(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for e in sorted(self.terms, key=self._grlex_key):
             c = self.terms[e]
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(f"x{i + 1}")
-                elif k > 1:
-                    factors.append(f"x{i + 1}^{k}")
-            body = "*".join(factors)
+            body = self._monomial_text(e)
             mag = abs(c)
             if not body:
                 piece = _fraction_str(mag)
@@ -274,10 +274,6 @@ class LinearMap:
         return len(self.rows)
 
     @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def reflection_map(cls, alpha: RationalVector) -> "LinearMap":
         n = alpha.dim
         cols = [reflect(RationalVector.unit(j, n), alpha) for j in range(n)]
@@ -288,12 +284,6 @@ class LinearMap:
         n = alpha.dim
         cols = [project(RationalVector.unit(j, n), alpha) for j in range(n)]
         return cls([[cols[j][i] for j in range(n)] for i in range(n)])
-
-    def apply(self, x: RationalVector) -> RationalVector:
-        if x.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return RationalVector(
-            sum((r[j] * x[j] for j in range(self.dim)), Fraction(0)) for r in self.rows)
 
 
 def poly_eval(p: MPoly, point: Sequence):
@@ -337,21 +327,13 @@ def partial_derivative(p: MPoly, i: int) -> MPoly:
     return directional_derivative(p, RationalVector.unit(i, p.nvars))
 
 
-def compose_linear(p: MPoly, a: LinearMap) -> MPoly:
-    """p(Ax), computed through cached powers of the (linear) variable images."""
-    if a.dim != p.nvars:
-        raise ValueError("dimension mismatch")
-    n = p.nvars
-    images = []
-    for i in range(n):
-        img = MPoly(n, {})
-        for j in range(n):
-            if a.rows[i][j]:
-                e = [0] * n
-                e[j] = 1
-                img.terms[tuple(e)] = a.rows[i][j]
-        images.append(img)
-    powers: list[dict[int, MPoly]] = [{0: MPoly.constant(n, 1)} for _ in range(n)]
+def _substitute(p: MPoly, images: Sequence[MPoly]) -> MPoly:
+    """p with x_{i+1} replaced by images[i], through cached powers of each image.
+
+    The images may live in a different ring from p; the result lives in theirs.
+    """
+    n = images[0].nvars if images else p.nvars
+    powers: list[dict[int, MPoly]] = [{0: MPoly.constant(n, 1)} for _ in images]
 
     def power(i: int, k: int) -> MPoly:
         cache = powers[i]
@@ -366,6 +348,48 @@ def compose_linear(p: MPoly, a: LinearMap) -> MPoly:
             if k:
                 t = t * power(i, k)
         out = out + t
+    return out
+
+
+def compose_linear(p: MPoly, a: LinearMap) -> MPoly:
+    """p(Ax): each variable becomes the linear form of its matrix row."""
+    if a.dim != p.nvars:
+        raise ValueError("dimension mismatch")
+    n = p.nvars
+    return _substitute(p, [MPoly(n, {tuple(int(k == j) for k in range(n)): v
+                                     for j, v in enumerate(row) if v})
+                           for row in a.rows])
+
+
+def _map_root_blocks(p: MPoly, alpha: RationalVector,
+                     image: Callable[[tuple, tuple[int, ...]], MPoly]) -> MPoly:
+    """Apply, term by term, a map that only moves alpha's support coordinates.
+
+    Each monomial factors into a part off the support, left alone, times a
+    block monomial on the support. image(alpha_block, block_exponents), with
+    alpha_block the nonzero entries of alpha, maps the block into the support
+    coordinates; the result is scattered back into the full monomial.
+    """
+    if alpha.dim != p.nvars:
+        raise ValueError("dimension mismatch")
+    support = tuple(i for i in range(alpha.dim) if alpha[i])
+    if not support:
+        raise ValueError("zero root")
+    alpha_block = tuple(alpha[i] for i in support)
+    out = MPoly.zero(p.nvars)
+    acc = out.terms
+    for e, c in p.terms.items():
+        block = image(alpha_block, tuple(e[i] for i in support))
+        for bexp, bc in block.terms.items():
+            e2 = list(e)
+            for pos, i in enumerate(support):
+                e2[i] = bexp[pos]
+            key = tuple(e2)
+            s = acc.get(key, Fraction(0)) + c * bc
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
     return out
 
 

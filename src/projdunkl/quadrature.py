@@ -6,7 +6,6 @@ capped at 200; endpoint exponents must exceed -1 for integrability.
 """
 from __future__ import annotations
 
-import json
 import math
 import threading
 from fractions import Fraction
@@ -14,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .rootgeom import _as_fraction, _fraction_str
+from .rootgeom import _as_fraction
 
 MAX_ORDER = 200
 
@@ -106,44 +105,3 @@ def graded_panels(a: float, b: float, order: int, max_width: float | None = None
     w = (widths[:, None] * weights[None, :]).ravel()
     return x, w
 
-
-def dump_cache(path: str) -> int:
-    """Write every cached rule as JSON records; returns the record count."""
-    records = []
-    for (kappa, beta, order), rule in sorted(_cache.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]), kv[0][2])):
-        rec = {
-            "kappa": _fraction_str(kappa),
-            "order": order,
-            "nodes": [float(v) for v in rule.nodes],
-            "weights": [float(v) for v in rule.weights],
-        }
-        if beta != 0:
-            rec["beta"] = _fraction_str(beta)
-        records.append(rec)
-    with open(path, "w") as fh:
-        json.dump(records, fh)
-    return len(records)
-
-
-def load_cache(path: str) -> int:
-    """Re-seed the cache from a dump; entries are trusted as-is."""
-    with open(path) as fh:
-        records = json.load(fh)
-    n = 0
-    with _cache_lock:
-        for rec in records:
-            kappa = Fraction(rec["kappa"])
-            beta = Fraction(rec.get("beta", 0))
-            order = int(rec["order"])
-            rule = JacobiQuadrature.__new__(JacobiQuadrature)
-            rule.kappa, rule.beta, rule.order = kappa, beta, order
-            rule.nodes = np.asarray(rec["nodes"], dtype=float)
-            rule.weights = np.asarray(rec["weights"], dtype=float)
-            _cache[(kappa, beta, order)] = rule
-            n += 1
-    return n
-
-
-def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()

@@ -176,11 +176,6 @@ class OrthogonalSubsystem:
         return cls(int(obj["dim"]), roots, obj["kappas"])
 
 
-def validate_subsystem(dim: int, roots: Sequence[RationalVector], kappas: Sequence) -> OrthogonalSubsystem:
-    """Validate and freeze a subsystem; raises ValueError with the failing pair."""
-    return OrthogonalSubsystem(dim, roots, kappas)
-
-
 def build_subsystem_A(dim: int, kappas: Sequence) -> OrthogonalSubsystem:
     """Difference roots e_{2i-1} - e_{2i}, one kappa per pair; odd trailing coordinate free."""
     npairs = dim // 2

@@ -1,4 +1,5 @@
 """Forward map, inverses, fractional integrals, and the adjoint map."""
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -10,7 +11,9 @@ from projdunkl import (
     GPoly,
     MPoly,
     RationalVector,
+    apply_T_poly,
     build_subsystem_A,
+    build_subsystem_B,
     build_subsystem_coordinate,
     chi_inverse_numeric,
     chi_inverse_one_var,
@@ -24,6 +27,7 @@ from projdunkl import (
     erdelyi_kober_I,
     erdelyi_kober_I_numeric,
     h_map,
+    rho_poly,
 )
 from projdunkl.functions import get_function
 from projdunkl.gammaratio import GammaRatio
@@ -108,6 +112,44 @@ def test_chi_poly_scaled_matches_tensor_quadrature():
     # chi = scale * img where scale = 1/prod Gamma(kappa_j + 1)
     got = float(poly_eval(img, x)) * scale.to_float()
     assert got == pytest.approx(want, rel=1e-12)
+
+
+# Frozen exact outputs: (term count, sha256 of to_text()) of chi_poly_scaled
+# and of T_xi applied to that image. Non-dyadic multiplicities; the input has
+# terms off every root's support, a constant among them.
+FROZEN_POLY = ("3/2*x1^3*x2^2*x5 - 2/5*x2*x3^2*x4 + 7*x3^4*x6^3 + 4/3*x1*x6^2"
+               " - 1/7*x4^2*x5 + x5^3 - 5")
+FROZEN_XI = (1, F(-2, 3), F(1, 2), 0, F(3, 5), -1)
+FROZEN = {
+    "A": (build_subsystem_A(6, [F(3, 7), F(5, 4), F(2, 9)]),
+          (57, "3ac65a280de8b174b56a23b6975187d1272fbde3c2727f78cda5f99b7dd8580b"),
+          (67, "1f29be03ac92dbb4a9daef9d281715b2f28dccba4239d816b5ca819441f72f59")),
+    "B": (build_subsystem_B(6, [F(3, 7), F(5, 4), F(1, 3)],
+                            [F(2, 5), F(7, 3), F(5, 6)]),
+          (57, "ee32bca738a7a175ff6a5313f4e006bcff8d353e834ee7c2d9039acef6d6e743"),
+          (67, "ab8ea703375c014dc5d13c3a75c7ff79f2711f95d52dbee785539b129d176549")),
+    "coordinate": (build_subsystem_coordinate(
+                       6, [F(3, 7), F(5, 4), F(2, 9), F(1, 3), F(7, 3), F(5, 6)]),
+                   (7, "a143a9395eb381c6dddb239da79a15f36514f35b6c93c1beef250001ac2cad9d"),
+                   (11, "1008bd01c952212b3cc5bf953b2d6886c89c5c808427e852c24debaadea72262")),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(FROZEN))
+def test_exact_layer_frozen_outputs(layout):
+    sub, want_chi, want_t = FROZEN[layout]
+    img, _ = chi_poly_scaled(sub, P(FROZEN_POLY, 6))
+    t_img = apply_T_poly(sub, rv(*FROZEN_XI), img)
+    for got, want in ((img, want_chi), (t_img, want_t)):
+        text = got.to_text()
+        assert (len(got.terms), hashlib.sha256(text.encode()).hexdigest()) == want
+
+
+def test_rho_poly_of_block_invariant_is_zero():
+    alpha = rv(1, -1, 0, 0, 0, 0)
+    # no variable of the support, and a tau-invariant block (x1 + x2)^2
+    assert rho_poly(P("x3^2*x5 - 4", 6), alpha).is_zero()
+    assert rho_poly((P("x1", 6) + P("x2", 6)) ** 2 * P("x4", 6), alpha).is_zero()
 
 
 # ---- GPoly container ----

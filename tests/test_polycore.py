@@ -92,13 +92,6 @@ def test_compose_linear_with_reflection():
     assert compose_linear(p, tau) == P("x2^2 + 3*x1", 2)
 
 
-def test_projection_map_is_wall_average():
-    alpha = rv(1, -1)
-    pi = LinearMap.projection_map(alpha)
-    x = rv(3, 1)
-    assert pi.apply(x) == rv(2, 2)
-
-
 def test_exact_div_linear():
     alpha = rv(1, -1, 0)
     p = P("x1^2 - x2^2", 3)  # (x1 - x2)(x1 + x2), and <x, alpha> = x1 - x2

@@ -1,6 +1,5 @@
 """Cached Gauss-Jacobi rules and the graded composite mesh."""
 import math
-import os
 import threading
 from fractions import Fraction as F
 
@@ -10,12 +9,9 @@ import pytest
 from projdunkl.quadrature import (
     MAX_ORDER,
     JacobiQuadrature,
-    clear_cache,
-    dump_cache,
     get_rule,
     graded_panels,
     legendre_rule,
-    load_cache,
 )
 
 
@@ -81,18 +77,6 @@ def test_cache_identity_and_threading():
     for t in threads:
         t.join()
     assert all(r is rules[0] for r in rules)
-
-
-def test_dump_and_load_cache(tmp_path):
-    get_rule(F(7, 2), 17)
-    path = os.path.join(tmp_path, "rules.json")
-    count = dump_cache(path)
-    assert count >= 1
-    clear_cache()
-    loaded = load_cache(path)
-    assert loaded == count
-    r = get_rule(F(7, 2), 17)
-    assert r.order == 17
 
 
 def test_legendre_rule_unit_interval():

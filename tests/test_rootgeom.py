@@ -13,7 +13,6 @@ from projdunkl import (
     decompose_xi,
     project,
     reflect,
-    validate_subsystem,
 )
 
 
@@ -111,12 +110,6 @@ def test_subsystem_rejects_too_many_roots():
 def test_subsystem_rejects_dim_mismatch():
     with pytest.raises(ValueError, match="dim"):
         OrthogonalSubsystem(3, [rv(1, 0)], [F(1)])
-
-
-def test_validate_subsystem_passthrough():
-    sub = validate_subsystem(2, [rv(1, -1)], ["1/2"])
-    assert sub.nroots == 1
-    assert sub.kappas == (F(1, 2),)
 
 
 def test_json_roundtrip():

@@ -155,11 +155,6 @@ def test_cli_verify_injected_fault_fails(capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
-def test_cli_verify_perturbed_multiplicities_fail(capsys):
-    assert main(["verify", "--suite", "commutativity", "--perturb-kappa"]) == 1
-    assert "overall: FAIL" in capsys.readouterr().out
-
-
 def test_cli_bad_inputs_return_error(capsys):
     assert main(["transform", "--function", "nosuch", "--kappa", "0",
                  "--grid", "0:1:2"]) == 1
