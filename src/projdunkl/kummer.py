@@ -7,26 +7,29 @@ Two normalizations of the same series appear throughout:
                     = sum_n z^n / Gamma(kappa + 1 + n)
 
 bold M is the transform kernel; M is the rank-one eigenfunction normalization.
-At kappa = 0 both collapse to exp(z).
+At kappa = 0 both collapse to exp(z), for every z. Otherwise one evaluator
+serves the scalar and the vectorized entry points, in two regimes:
 
-Evaluation picks the regime by |z|: the plain series in double precision loses
-roughly e^|Im z| * eps to cancellation, so it is trusted only for |z| <= 8; a
-Gauss-Jacobi form of
+- |z| <= max(4, kappa): the series above. No term exceeds 4^n / n! < 11, or
+  the first one once |z| <= kappa, which bounds what cancels.
+- elsewhere: bold M_kappa(z) = e^z z^-kappa P(kappa, z) (DLMF 8.2.7), P the
+  regularized lower incomplete gamma function, through its complement
+  e^z z^-kappa - G / Gamma(kappa). G = e^z z^-kappa Gamma(kappa, z) is
+  Legendre's continued fraction (DLMF 8.9.2)
+  1/(z+1-kappa - 1(1-kappa)/(z+3-kappa - 2(2-kappa)/(z+5-kappa - ...))),
+  evaluated backward from a fixed depth; it converges uniformly in kappa
+  away from the negative real axis.
 
-    bold M_kappa(z) = (1 / Gamma(kappa)) integral_0^1 (1-t)^(kappa-1) e^(zt) dt
-                    = (2 e^z / Gamma(kappa)) integral_0^1 u^(2 kappa - 1) e^(-z u^2) du
-
-covers the mid range (the substituted form keeps the Jacobi weight away from
-its ill-conditioned a < 0 corner), and the divergent-series expansion
-
-    bold M_kappa(z) = e^z z^(-kappa) - S / (Gamma(kappa) z),
-    S = sum_j (kappa-1)(kappa-2)...(kappa-j) z^(-j)
-
-(truncated at its smallest term) takes over for large |z|, where it is
-accurate far below double precision.
+Domain: 0 <= kappa <= 170 (Gamma(kappa + 1) is finite), and z in the series
+disk or at |arg z| <= 2 pi / 3, which holds the whole imaginary axis. At
+|arg z| <= 2 pi / 3 the relative error against the 40-digit reference stays
+below 1e-13; in the rest of the disk the series keeps its absolute error
+below 1e-14. Input outside the domain, where the fraction does not converge,
+raises ValueError.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,22 +38,47 @@ import numpy as np
 
 from .functions import TestFunction
 from .opengine import one_var_T_squared
-from .quadrature import get_rule
 from .rootgeom import OrthogonalSubsystem, RationalVector
 
-SERIES_RADIUS = 8.0
-QUAD_RADIUS = 64.0
-_QUAD_ORDER = 160
-_SERIES_TERMS = 70
-_ASYM_TERMS = 40
+MAX_ARG = 2.0 * math.pi / 3.0
+_CF_DEPTH = 80
 
 
-def _series_nonbold(kappa: float, z: complex) -> complex:
+def _series_radius(kappa: float) -> float:
+    return max(4.0, kappa)
+
+
+def _check_kappa(kappa: float) -> None:
+    if not 0.0 <= kappa <= 170.0:
+        raise ValueError(f"kappa = {kappa} outside the kernel domain 0 <= kappa <= 170")
+
+
+# The two regime helpers take a Python complex or a complex numpy array; the
+# only calls that differ between the two come in as exp and angle.
+
+def _series_nonbold(kappa: float, z):
+    """M_kappa(z) from its series, for |z| <= max(4, kappa)."""
+    # on |z| <= kappa, |term n| <= prod_j kappa / (kappa + 1 + j) < 1e-20 once
+    # n >= 12 sqrt(kappa); 70 terms also cover |z| <= 4
     acc = term = 1.0 + 0.0j
-    for n in range(_SERIES_TERMS):
+    for n in range(max(70, int(12.0 * math.sqrt(kappa)))):
         term = term * z / (kappa + 1.0 + n)
         acc += term
     return acc
+
+
+def _cf_bold(kappa: float, z, exp, angle):
+    """bold M_kappa(z) from Legendre's continued fraction, kappa > 0."""
+    w = z + (1.0 - kappa)
+    t = 0.0
+    for j in range(_CF_DEPTH, 0, -1):
+        t = j * (j - kappa) / (w + 2 * j - t)
+    g = 1.0 / (w - t)
+    # e^z z^-kappa as the square of e^(z/2) |z|^(-kappa/2) e^(-i kappa arg z / 2):
+    # neither factor underflows where the product does not, the modulus goes
+    # through pow, and Im z never shares a rounded phase with kappa arg z
+    half = exp(z / 2) * (abs(z) ** (-kappa / 2) * exp(-0.5j * kappa * angle(z)))
+    return half * half - g / math.gamma(kappa)
 
 
 def _bold_M_reference(kappa: float, z: complex) -> complex:
@@ -66,46 +94,22 @@ def _bold_M_reference(kappa: float, z: complex) -> complex:
         return complex(mp.hyp1f1(1, k + 1, z) / mp.gamma(k + 1))
 
 
-def _quad_bold(kappa: float, z: complex) -> complex:
-    # t = 1 - u^2 moves the endpoint singularity into the Jacobi weight
-    # u^(2 kappa - 1), whose rule is far better conditioned than a = kappa - 1
-    rule = get_rule(1, _QUAD_ORDER, beta=2.0 * kappa - 1.0)
-    acc = complex(np.dot(rule.weights, np.exp(-z * rule.nodes**2)))
-    return complex(2.0 * np.exp(z) * acc / math.gamma(kappa))
-
-
-def _asym_bold(kappa: float, z: complex) -> complex:
-    s = 0.0 + 0.0j
-    c = 1.0 + 0.0j
-    zinv = 1.0 / z
-    prev = math.inf
-    for j in range(_ASYM_TERMS):
-        mag = abs(c)
-        if mag == 0.0 or mag > prev:
-            break  # truncate at the smallest term
-        s += c
-        prev = mag
-        c = c * (kappa - (j + 1)) * zinv
-    return complex(np.exp(z) * z ** (-kappa) - s / (math.gamma(kappa) * z))
-
-
 def _eval(kappa: float, z: complex) -> tuple[complex, complex]:
     """(bold, nonbold) at one point."""
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    _check_kappa(kappa)
     z = complex(z)
     if kappa == 0:
         e = complex(np.exp(z)) if abs(z.imag) else complex(math.exp(z.real))
         return e, e
-    r = abs(z)
-    if r <= SERIES_RADIUS:
+    g = math.gamma(kappa + 1.0)
+    if abs(z) <= _series_radius(kappa):
         nb = _series_nonbold(kappa, z)
-        return nb / math.gamma(kappa + 1.0), nb
-    if r <= QUAD_RADIUS:
-        b = _quad_bold(kappa, z)
-    else:
-        b = _asym_bold(kappa, z)
-    return b, b * math.gamma(kappa + 1.0)
+        return nb / g, nb
+    if not abs(cmath.phase(z)) <= MAX_ARG:
+        raise ValueError(f"z = {z} outside the kernel domain "
+                         "|z| <= max(4, kappa) or |arg z| <= 2 pi / 3")
+    b = _cf_bold(kappa, z, cmath.exp, cmath.phase)
+    return b, b * g
 
 
 def kummer_M(kappa: float, z: complex) -> complex:
@@ -141,50 +145,17 @@ def kummer_M_derivative(kappa: float, z: complex, n: int = 1) -> complex:
 
 def bold_M_on_imaginary(kappa: float, y: np.ndarray) -> np.ndarray:
     """Vectorized kernel values bold M_kappa(i y) for a real array y."""
+    _check_kappa(kappa)
     y = np.asarray(y, dtype=float)
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
     z = 1j * y
     if kappa == 0:
         return np.exp(z)
     out = np.empty(y.shape, dtype=complex)
-    r = np.abs(y)
-    m_series = r <= SERIES_RADIUS
-    m_quad = (~m_series) & (r <= QUAD_RADIUS)
-    m_asym = r > QUAD_RADIUS
-
-    if np.any(m_series):
-        zs = z[m_series]
-        acc = np.ones_like(zs)
-        term = np.ones_like(zs)
-        for n in range(_SERIES_TERMS):
-            term = term * zs / (kappa + 1.0 + n)
-            acc += term
-        out[m_series] = acc / math.gamma(kappa + 1.0)
-
-    if np.any(m_quad):
-        zq = z[m_quad]
-        rule = get_rule(1, _QUAD_ORDER, beta=2.0 * kappa - 1.0)
-        sq = rule.nodes**2
-        vals = np.empty(zq.shape, dtype=complex)
-        step = 2048
-        for i in range(0, len(zq), step):
-            block = zq[i:i + step]
-            vals[i:i + step] = np.exp(np.outer(-block, sq)) @ rule.weights
-        out[m_quad] = 2.0 * np.exp(zq) * vals / math.gamma(kappa)
-
-    if np.any(m_asym):
-        za = z[m_asym]
-        zinv = 1.0 / za
-        s = np.zeros_like(za)
-        c = np.ones_like(za)
-        coeff = 1.0
-        for j in range(_ASYM_TERMS):
-            s += c
-            coeff = kappa - (j + 1)
-            c = c * coeff * zinv
-        out[m_asym] = np.exp(za) * za ** (-kappa) - s / (math.gamma(kappa) * za)
-
+    inside = np.abs(y) <= _series_radius(kappa)
+    if inside.any():
+        out[inside] = _series_nonbold(kappa, z[inside]) / math.gamma(kappa + 1.0)
+    if not inside.all():
+        out[~inside] = _cf_bold(kappa, z[~inside], np.exp, np.angle)
     return out
 
 

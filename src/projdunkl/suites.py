@@ -10,6 +10,7 @@ that depends on platform, fixed suite order.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,11 @@ from .intertwine import (
     erdelyi_kober_I,
 )
 from .kummer import (
+    MAX_ARG,
     _bold_M_reference,
+    _cf_bold,
+    _series_nonbold,
+    _series_radius,
     bold_M,
     bold_M_derivative,
     eigen_multivar,
@@ -412,14 +417,31 @@ def suite_kummer(cfg: SuiteConfig) -> list[CheckRecord]:
                         return f"ode residual {r:.3e} at kappa={kap}, lam={lam}, x={x}"
         return None
 
-    def series_vs_quadrature():
-        for kap in (0.5, 2.0, 0.37):
-            for y in (8.5, 10.0, 12.0):
-                ref = _bold_M_reference(kap, 1j * y)
-                dbl = bold_M(kap, 1j * y)
-                if abs(ref - dbl) > 1e-11:
-                    return (f"series/quadrature gap {abs(ref - dbl):.3e} at "
-                            f"kappa={kap}, z={y}i")
+    def regime_switch():
+        # the two regime helpers agree on either side of |z| = max(4, kappa)
+        for kap in (0.37, 2.0, 80.5):
+            for y in (-1.001, -0.999, 0.999, 1.001):
+                z = 1j * y * _series_radius(kap)
+                series = _series_nonbold(kap, z) / math.gamma(kap + 1.0)
+                cf = _cf_bold(kap, z, cmath.exp, cmath.phase)
+                if abs(series - cf) > 1e-13 * abs(cf):
+                    return (f"series/continued-fraction gap {abs(series - cf) / abs(cf):.3e} "
+                            f"(relative) at kappa={kap}, z={z}")
+        return None
+
+    def kernel_domain():
+        # 16 seeded points against the 40-digit reference: log-uniform kappa
+        # in [1e-3, 150] and |z| in [1, 500], every fourth one off the axis
+        for i in range(16):
+            kap = 10.0 ** rng.uniform(-3.0, math.log10(150.0))
+            r = 500.0 ** rng.uniform()
+            t = rng.uniform(-MAX_ARG, MAX_ARG) if i % 4 == 3 else math.pi / 2
+            z = cmath.rect(r, t)
+            ref = _bold_M_reference(kap, z)
+            got = bold_M(kap, z)
+            if abs(got - ref) > 1e-13 * abs(ref):
+                return (f"kernel error {abs(got - ref) / abs(ref):.3e} (relative) "
+                        f"at kappa={kap!r}, z={z!r}")
         return None
 
     _check(rec, "kummer", "kernel-goldens", goldens)
@@ -429,7 +451,8 @@ def suite_kummer(cfg: SuiteConfig) -> list[CheckRecord]:
     _check(rec, "kummer", "derivative-crosscheck", derivative_cross)
     _check(rec, "kummer", "eigen-residual", eigen_residual)
     _check(rec, "kummer", "ode-residual", ode_residual)
-    _check(rec, "kummer", "series-vs-quadrature", series_vs_quadrature)
+    _check(rec, "kummer", "regime-switch", regime_switch)
+    _check(rec, "kummer", "kernel-domain", kernel_domain)
     return rec
 
 

@@ -5,7 +5,8 @@
 reduces to the classical transform at kappa = 0 and factorizes through the
 dual intertwining map: F_kappa f = F_0 (dual chi f). Quadrature uses
 oscillation-limited Gauss panels (width <= pi / max(1, |lam|)) aligned to the
-support, so hard-edged functions are integrated exactly panel by panel.
+support and split at the corners of f, so hard-edged functions are integrated
+exactly panel by panel.
 """
 from __future__ import annotations
 
@@ -30,17 +31,21 @@ def _support(f, bound: float | None) -> float:
     return float(a)
 
 
-def _panel_nodes(a: float, b: float, max_width: float, order: int = _PANEL_ORDER):
-    # support endpoints are where compactly supported functions stop being
-    # analytic, so the mesh is refined geometrically toward both ends
-    return graded_panels(a, b, order, max_width=min(max_width, (b - a) / 8.0))
+def _panel_nodes(f, a: float, max_width: float, order: int = _PANEL_ORDER):
+    # support ends and corners are where compactly supported functions stop
+    # being analytic, so the mesh on [-a, a] is split at the corners of f and
+    # each piece is refined geometrically toward both of its ends
+    cuts = sorted({-a, a} | {float(c) for c in getattr(f, "corners", ()) if -a < c < a})
+    pieces = [graded_panels(lo, hi, order, max_width=min(max_width, a / 4.0))
+              for lo, hi in zip(cuts[:-1], cuts[1:])]
+    return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
 def kummer_transform(f, kappa: float, lam: float, bound: float | None = None) -> complex:
     """F_kappa(f)(lam) over the (finite) support of f."""
     a = _support(f, bound)
     value = f.value if hasattr(f, "value") else f
-    x, w = _panel_nodes(-a, a, math.pi / max(1.0, abs(lam)))
+    x, w = _panel_nodes(f, a, math.pi / max(1.0, abs(lam)))
     kern = bold_M_on_imaginary(kappa, lam * x)
     return complex(np.dot(w, np.asarray(value(x)) * kern))
 
@@ -53,7 +58,7 @@ def transform_grid(f, kappa: float, lams: Sequence[float],
 def l1_norm(f, bound: float | None = None) -> float:
     a = _support(f, bound)
     value = f.value if hasattr(f, "value") else f
-    x, w = _panel_nodes(-a, a, a / 4.0, order=64)
+    x, w = _panel_nodes(f, a, a / 4.0, order=64)
     return float(np.dot(w, np.abs(np.asarray(value(x)))))
 
 

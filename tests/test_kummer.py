@@ -1,4 +1,5 @@
 """Confluent kernel regimes, eigenfunctions, and the spectral identities."""
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -24,8 +25,8 @@ from projdunkl import (
 )
 from projdunkl.kummer import _bold_M_reference
 
-# reference values from an 80-digit series evaluation, one per regime and
-# argument class (small/mid imaginary, real positive/negative)
+# reference values from an 80-digit series evaluation, across both regimes and
+# argument classes (small/mid imaginary, real positive/negative)
 KERNEL_GOLDENS = [
     (0.5, 1j, 0.84605678672415291 + 0.66968425957766357j),
     (0.5, 30j, -0.10795271230479536 - 0.12867731483578215j),
@@ -92,30 +93,49 @@ def test_derivative_validation_and_nonbold_scaling():
 
 
 def test_vectorized_kernel_matches_scalar_across_regimes():
-    # straddle both regime boundaries and both signs
-    kappa = 0.5
-    ys = np.array([-200.0, -64.1, -63.9, -30.0, -8.1, -7.9, -0.5,
-                   0.5, 7.9, 8.1, 30.0, 63.9, 64.1, 200.0])
-    got = bold_M_on_imaginary(kappa, ys)
-    want = np.array([bold_M(kappa, 1j * y) for y in ys])
-    assert np.max(np.abs(got - want)) < 1e-14
+    # straddle the regime switch at |y| = max(4, kappa), both signs
+    for kappa in (0.5, 80.5):
+        r = max(4.0, kappa)
+        ys = np.array([-200.0, -1.01 * r, -0.99 * r, -0.5,
+                       0.5, 0.99 * r, 1.01 * r, 30.0, 200.0])
+        got = bold_M_on_imaginary(kappa, ys)
+        want = np.array([bold_M(kappa, 1j * y) for y in ys])
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
     assert bold_M_on_imaginary(0.0, np.array([2.0]))[0] == pytest.approx(
         np.exp(2j), rel=1e-15)
 
 
-@pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 0.37])
+# the golden kappa and two large ones, then 14 that are not exact binary
+# fractions, across [1e-3, 150]
+SWEEP_KAPPAS = [0.5, 1.0, 2.0, 80.5, 150.0,
+                0.001, 0.0037, 0.013, 0.047, 0.13, 0.37, 0.83, 1.61, 2.7, 7.3,
+                19.9, 44.1, 80.3, 149.9]
+# the positive real z = 200 is where z^-kappa alone underflows at large kappa
+SWEEP_Z = ([1j * y for y in np.geomspace(0.01, 500.0, 60)]
+           + [cmath.rect(r, t) for r in (3.9, 20.0, 200.0)
+              for t in (0.0, 0.3, -1.2, 2.0 * math.pi / 3)])
+
+
+@pytest.mark.parametrize("kappa", SWEEP_KAPPAS)
 def test_series_against_integral_regime(kappa):
-    # 40-digit 1F1 reference vs the double-precision regimes, across the
-    # switchover; the non-dyadic 0.37 is not exact in binary
-    for y in (6.0, 10.0, 20.0, 30.0):
-        a = _bold_M_reference(kappa, 1j * y)
-        b = bold_M(kappa, 1j * y)
-        assert abs(a - b) < 1e-11
+    # 40-digit 1F1 reference against the double-precision evaluator over the
+    # domain: the imaginary axis up to 500 and points off it at
+    # |arg z| <= 2 pi / 3, on both sides of the regime switch
+    zs = SWEEP_Z + [1j * max(4.0, kappa) * f for f in (0.999, 1.001)]
+    for z in zs:
+        ref = _bold_M_reference(kappa, z)
+        assert abs(bold_M(kappa, z) - ref) < 1e-13 * abs(ref), (kappa, z)
 
 
 def test_precision_validation():
     with pytest.raises(ValueError):
         bold_M(-0.5, 1.0)
+    # outside the domain the continued fraction does not converge, and past
+    # kappa = 170 Gamma(kappa + 1) overflows: both refuse with the domain
+    with pytest.raises(ValueError, match="domain"):
+        bold_M(0.5, -10)
+    with pytest.raises(ValueError, match="domain"):
+        bold_M_on_imaginary(171.0, np.array([1.0, 100.0]))
     # the reference agrees with double inside the series radius
     assert _bold_M_reference(0.5, 2j) == pytest.approx(
         bold_M(0.5, 2j), rel=1e-13)

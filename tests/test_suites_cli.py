@@ -111,8 +111,8 @@ def test_cli_eval_kernel(capsys):
     assert main(["eval", "M", "--kappa", "1/2", "--z", "1j", "--bold"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("(0.8460567867241529")
-    # quadrature and asymptotic regimes must print a plain complex, not a
-    # numpy scalar repr
+    # the continued-fraction regime must print a plain complex, not a numpy
+    # scalar repr
     for z in ("30j", "100j"):
         assert main(["eval", "M", "--kappa", "1/2", "--z", z, "--bold"]) == 0
         out = capsys.readouterr().out
@@ -164,3 +164,6 @@ def test_cli_bad_inputs_return_error(capsys):
     assert "start:stop:count" in capsys.readouterr().err
     assert main(["eval", "T", "--poly", "x1^^2", "--kappa", "0"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # next to the negative real axis the kernel refuses instead of guessing
+    assert main(["eval", "M", "--kappa", "1/2", "--z=-10"]) == 1
+    assert "outside the kernel domain" in capsys.readouterr().err

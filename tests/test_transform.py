@@ -14,6 +14,7 @@ from projdunkl import (
     transform_csv,
     transform_grid,
 )
+from projdunkl import quadrature
 from projdunkl.functions import get_function
 
 # F_kappa(bump)(lam) from 50-digit adaptive integration of the series kernel
@@ -39,13 +40,16 @@ def test_transform_golden_values(kappa):
 
 
 def test_transform_zero_frequency_is_scaled_mass():
-    # at lam = 0 the kernel is the constant 1/Gamma(kappa+1)
+    # at lam = 0 the kernel is the constant 1/Gamma(kappa+1); ind13 has mass
+    # 1.5 and corners inside its support, where the mesh must split
     bump = get_function("bump")
+    ind13 = get_function("ind13")
     for kappa in (0.5, 1.0, 2.0):
-        got = kummer_transform(bump, kappa, 0.0)
-        want = l1_norm(bump) / math.gamma(kappa + 1.0)  # bump >= 0
-        assert got.real == pytest.approx(want, rel=1e-12)
-        assert abs(got.imag) < 1e-15
+        for f, mass in ((bump, l1_norm(bump)), (ind13, 1.5)):  # both >= 0
+            got = kummer_transform(f, kappa, 0.0)
+            want = mass / math.gamma(kappa + 1.0)
+            assert got.real == pytest.approx(want, rel=1e-12)
+            assert abs(got.imag) < 1e-15
 
 
 def test_classical_limit_hard_edges():
@@ -60,6 +64,18 @@ def test_classical_limit_hard_edges():
 def test_l1_norm_frozen_value():
     assert l1_norm(get_function("bump")) == pytest.approx(
         1.2069003224378762, abs=1e-13)
+    assert l1_norm(get_function("ind13")) == pytest.approx(1.5, abs=1e-13)
+
+
+def test_transform_adds_no_quadrature_rule():
+    # the kernel needs no kappa-dependent rule, so fresh kappa leave the
+    # rule cache as the first call left it
+    bump = get_function("bump")
+    kummer_transform(bump, 0.5, 30.0)
+    size = len(quadrature._cache)
+    for kappa in (0.137, 0.613, 1.29, 2.71, 7.77):
+        kummer_transform(bump, kappa, 30.0)
+    assert len(quadrature._cache) == size
 
 
 def test_l1_norm_requires_support():
