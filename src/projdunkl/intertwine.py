@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gammaratio import GammaRatio, pochhammer
+from .gammaratio import GammaRatio
 from .polycore import MPoly, _map_root_blocks, _substitute
 from .quadrature import get_rule, graded_panels
 from .rootgeom import OrthogonalSubsystem, RationalVector, _as_fraction
@@ -151,7 +151,10 @@ def h_map(subsystem: OrthogonalSubsystem, t: Sequence, x):
 
 # ---- exact polynomial layer ---------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Bounded far above the working set of a few pooled multiplicities (about 200
+# block shapes each for degree 12 on A-, B- and coordinate roots), so only
+# entries of multiplicities that stop recurring are evicted.
+@lru_cache(maxsize=4096)
 def _chi_block(alpha_entries: tuple, kappa: Fraction, exps: tuple) -> MPoly:
     """Scaled per-root average of a block monomial.
 
@@ -165,32 +168,32 @@ def _chi_block(alpha_entries: tuple, kappa: Fraction, exps: tuple) -> MPoly:
     next_ring = nb + 1  # block variables plus t in the last slot
     images = []
     for i in range(nb):
-        img = MPoly.zero(next_ring)
+        img = {}
         for j in range(nb):
-            lin = (Fraction(1) if i == j else Fraction(0)) - alpha[i] * alpha[j] / s
-            if lin:
-                e = [0] * next_ring
-                e[j] = 1
-                img.terms[tuple(e)] = lin
-            quad = alpha[i] * alpha[j] / s
-            if quad:
-                e = [0] * next_ring
-                e[j] = 1
-                e[nb] = 1
-                img.terms[tuple(e)] = img.terms.get(tuple(e), Fraction(0)) + quad
-        images.append(img)
+            along = alpha[i] * alpha[j] / s
+            e = [0] * next_ring
+            e[j] = 1
+            img[tuple(e)] = (1 if i == j else 0) - along
+            e[nb] = 1
+            img[tuple(e)] = along
+        images.append(MPoly(next_ring, img))
     expanded = _substitute(MPoly.monomial(exps), images)
-    out = MPoly.zero(nb)
-    for e, c in expanded.terms.items():
-        k = e[nb]
-        r = Fraction(math.factorial(k)) / pochhammer(kappa + 1, k)
+    # with kappa = a/b, k! / (kappa + 1)_k = k! b^k / prod_{1<=j<=k} (a + j b);
+    # over the denominator of the top t-degree K that is the numerator
+    # k! b^k prod_{k<j<=K} (a + j b)
+    a, b = kappa.numerator, kappa.denominator
+    top = sum(exps)
+    scale = [0] * (top + 1)
+    common = 1
+    for k in range(top, 0, -1):
+        scale[k] = math.factorial(k) * b ** k * common
+        common *= a + k * b
+    scale[0] = common
+    out: dict[tuple[int, ...], int] = {}
+    for e, c in expanded.num.items():
         key = e[:nb]
-        val = out.terms.get(key, Fraction(0)) + c * r
-        if val:
-            out.terms[key] = val
-        else:
-            out.terms.pop(key, None)
-    return out
+        out[key] = out.get(key, 0) + c * scale[e[nb]]
+    return MPoly._from_parts(nb, out, expanded.den * common)
 
 
 def _chi_root_step(p: MPoly, alpha: RationalVector, kappa: Fraction) -> MPoly:

@@ -25,12 +25,14 @@ disk or at |arg z| <= 2 pi / 3, which holds the whole imaginary axis. At
 |arg z| <= 2 pi / 3 the relative error against the 40-digit reference stays
 below 1e-13; in the rest of the disk the series keeps its absolute error
 below 1e-14. Input outside the domain, where the fraction does not converge,
-raises ValueError.
+raises ValueError, and so does a scalar call whose value overflows a double
+(kappa 0.5 at z = 1500; at kappa 170 the value there is about e^257, finite).
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +44,8 @@ from .rootgeom import OrthogonalSubsystem, RationalVector
 
 MAX_ARG = 2.0 * math.pi / 3.0
 _CF_DEPTH = 80
+# e^x is finite up to x = log(largest double), about 709.78
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _series_radius(kappa: float) -> float:
@@ -76,8 +80,14 @@ def _cf_bold(kappa: float, z, exp, angle):
     g = 1.0 / (w - t)
     # e^z z^-kappa as the square of e^(z/2) |z|^(-kappa/2) e^(-i kappa arg z / 2):
     # neither factor underflows where the product does not, the modulus goes
-    # through pow, and Im z never shares a rounded phase with kappa arg z
-    half = exp(z / 2) * (abs(z) ** (-kappa / 2) * exp(-0.5j * kappa * angle(z)))
+    # through pow, and Im z never shares a rounded phase with kappa arg z.
+    # Past Re z / 2 = _LOG_MAX, e^(z/2) alone overflows where the product
+    # need not, so the excess s moves into the modulus; one scalar s serves a
+    # whole array. Below, s = 0 and every factor keeps its bits.
+    top = z.real if isinstance(z, complex) else z.real.max(initial=0.0)
+    s = max(0.0, top / 2 - _LOG_MAX)
+    half = exp(z / 2 - s) * (abs(z) ** (-kappa / 2) * math.exp(s)
+                             * exp(-0.5j * kappa * angle(z)))
     return half * half - g / math.gamma(kappa)
 
 
@@ -112,14 +122,25 @@ def _eval(kappa: float, z: complex) -> tuple[complex, complex]:
     return b, b * g
 
 
+def _finite(kappa: float, z: complex, which: int) -> complex:
+    """_eval(kappa, z)[which]; ValueError where it overflows a double."""
+    try:
+        v = _eval(kappa, z)[which]
+    except OverflowError:  # math and cmath raise where numpy gives inf
+        v = complex(math.inf)
+    if not cmath.isfinite(v):
+        raise ValueError(f"the kernel overflows a double at kappa = {kappa}, z = {z}")
+    return v
+
+
 def kummer_M(kappa: float, z: complex) -> complex:
     """M_kappa(z), normalized to 1 at the origin."""
-    return _eval(kappa, z)[1]
+    return _finite(kappa, z, 1)
 
 
 def bold_M(kappa: float, z: complex) -> complex:
     """The transform kernel normalization, 1 / Gamma(kappa + 1) at the origin."""
-    return _eval(kappa, z)[0]
+    return _finite(kappa, z, 0)
 
 
 def bold_M_derivative(kappa: float, z: complex, n: int = 1) -> complex:

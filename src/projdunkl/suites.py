@@ -129,9 +129,7 @@ def _random_poly(rng: SplitMix64, nvars: int, max_deg: int, nterms: int) -> MPol
         for _ in range(deg):
             e[rng.randint(0, nvars - 1)] += 1
         terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + rng.fraction(4, 3, nonzero=True)
-    p = MPoly(nvars)
-    p.terms = {e: c for e, c in terms.items() if c}
-    return p
+    return MPoly(nvars, terms)
 
 
 def _standard_subsystems() -> list[OrthogonalSubsystem]:

@@ -12,6 +12,7 @@ from projdunkl import (
     MPoly,
     RationalVector,
     apply_T_poly,
+    apply_T_poly_decomposed,
     build_subsystem_A,
     build_subsystem_B,
     build_subsystem_coordinate,
@@ -21,12 +22,15 @@ from projdunkl import (
     chi_one_var,
     chi_one_var_numeric,
     chi_poly_scaled,
+    classical_dunkl,
+    divided_difference,
     dual_chi,
     duality_pairing,
     ek_left_inverse_D,
     erdelyi_kober_I,
     erdelyi_kober_I_numeric,
     h_map,
+    laplacian_direct,
     rho_poly,
 )
 from projdunkl.functions import get_function
@@ -115,34 +119,81 @@ def test_chi_poly_scaled_matches_tensor_quadrature():
 
 
 # Frozen exact outputs: (term count, sha256 of to_text()) of chi_poly_scaled
-# and of T_xi applied to that image. Non-dyadic multiplicities; the input has
-# terms off every root's support, a constant among them.
+# and of T_xi applied to that image, and on the input itself of the
+# decomposed T_xi, the classical Dunkl operator over the same roots, the
+# divided difference along the last root and, for the coordinate layout, both
+# Laplacian assemblies. Non-dyadic multiplicities; the input has terms off
+# every root's support, a constant among them.
 FROZEN_POLY = ("3/2*x1^3*x2^2*x5 - 2/5*x2*x3^2*x4 + 7*x3^4*x6^3 + 4/3*x1*x6^2"
                " - 1/7*x4^2*x5 + x5^3 - 5")
 FROZEN_XI = (1, F(-2, 3), F(1, 2), 0, F(3, 5), -1)
 FROZEN = {
-    "A": (build_subsystem_A(6, [F(3, 7), F(5, 4), F(2, 9)]),
-          (57, "3ac65a280de8b174b56a23b6975187d1272fbde3c2727f78cda5f99b7dd8580b"),
-          (67, "1f29be03ac92dbb4a9daef9d281715b2f28dccba4239d816b5ca819441f72f59")),
+    "A": (build_subsystem_A(6, [F(3, 7), F(5, 4), F(2, 9)]), {
+        "chi": (57, "3ac65a280de8b174b56a23b6975187d1272fbde3c2727f78cda5f99b7dd8580b"),
+        "T_of_chi": (67, "1f29be03ac92dbb4a9daef9d281715b2f28dccba4239d816b5ca819441f72f59"),
+        "T_decomposed": (25, "9faf29f9e6a786cb7946214bd742995a5faf1ec4e2becd2ab3f9b4c6d0b63864"),
+        "classical_dunkl": (20, "8c92b4b120f79ce6e6bc58c335450c339f046eae8ecfdf932edb9ab4fdae1c2e"),
+        "divided_difference": (10, "b46ea98adb5baf2d4b17b557267bdf3a86410d35a52d02b73cc21b1dd5443839"),
+    }),
     "B": (build_subsystem_B(6, [F(3, 7), F(5, 4), F(1, 3)],
-                            [F(2, 5), F(7, 3), F(5, 6)]),
-          (57, "ee32bca738a7a175ff6a5313f4e006bcff8d353e834ee7c2d9039acef6d6e743"),
-          (67, "ab8ea703375c014dc5d13c3a75c7ff79f2711f95d52dbee785539b129d176549")),
+                            [F(2, 5), F(7, 3), F(5, 6)]), {
+        "chi": (57, "ee32bca738a7a175ff6a5313f4e006bcff8d353e834ee7c2d9039acef6d6e743"),
+        "T_of_chi": (67, "ab8ea703375c014dc5d13c3a75c7ff79f2711f95d52dbee785539b129d176549"),
+        "T_decomposed": (25, "d2fd142eabec5ef88026faa70a73afe8a2df2472d7fc74c6c5fd81c1bdaf9638"),
+        "classical_dunkl": (20, "905c10b417b32895d5306387747e582ce23ebca1b907ffc1b9014f34f34d49eb"),
+        "divided_difference": (10, "44fa042348335c66de853dd0986ded616e0b8fee4a51c5fbc8347d4959be5e80"),
+    }),
     "coordinate": (build_subsystem_coordinate(
-                       6, [F(3, 7), F(5, 4), F(2, 9), F(1, 3), F(7, 3), F(5, 6)]),
-                   (7, "a143a9395eb381c6dddb239da79a15f36514f35b6c93c1beef250001ac2cad9d"),
-                   (11, "1008bd01c952212b3cc5bf953b2d6886c89c5c808427e852c24debaadea72262")),
+                       6, [F(3, 7), F(5, 4), F(2, 9), F(1, 3), F(7, 3), F(5, 6)]), {
+        "chi": (7, "a143a9395eb381c6dddb239da79a15f36514f35b6c93c1beef250001ac2cad9d"),
+        "T_of_chi": (11, "1008bd01c952212b3cc5bf953b2d6886c89c5c808427e852c24debaadea72262"),
+        "T_decomposed": (11, "a149f02565046b2f9f6b8a5e7dc3a9dc64ccefc7f512e55b525c2d40e16f6e33"),
+        "classical_dunkl": (11, "2df60fd55b8231e0db09eae1b373b540b7861f5103efef69aedbfe7009539165"),
+        "divided_difference": (2, "5464df3a8f4ee2033d59200b5310e8c4fa68cf05e6b433161eddd69565f28048"),
+        "laplacian_sum_sq": (7, "27f00a6cea53408b1a5aaf09a516070ef50ea5cfd914750750429afca509e862"),
+        "laplacian_expanded": (7, "27f00a6cea53408b1a5aaf09a516070ef50ea5cfd914750750429afca509e862"),
+    }),
 }
 
 
 @pytest.mark.parametrize("layout", sorted(FROZEN))
 def test_exact_layer_frozen_outputs(layout):
-    sub, want_chi, want_t = FROZEN[layout]
-    img, _ = chi_poly_scaled(sub, P(FROZEN_POLY, 6))
-    t_img = apply_T_poly(sub, rv(*FROZEN_XI), img)
-    for got, want in ((img, want_chi), (t_img, want_t)):
-        text = got.to_text()
-        assert (len(got.terms), hashlib.sha256(text.encode()).hexdigest()) == want
+    sub, want = FROZEN[layout]
+    p = P(FROZEN_POLY, 6)
+    xi = rv(*FROZEN_XI)
+    img, _ = chi_poly_scaled(sub, p)
+    got = {
+        "chi": img,
+        "T_of_chi": apply_T_poly(sub, xi, img),
+        "T_decomposed": apply_T_poly_decomposed(sub, xi, p),
+        "classical_dunkl": classical_dunkl(p, sub.roots, sub.kappas, xi),
+        "divided_difference": divided_difference(p, sub.roots[-1]),
+    }
+    if layout == "coordinate":
+        lap = laplacian_direct(p, sub.kappas)
+        got["laplacian_sum_sq"], got["laplacian_expanded"] = lap.sum_sq, lap.expanded
+    assert got.keys() == want.keys()
+    for name, q in got.items():
+        text = q.to_text()
+        assert (len(q.terms), hashlib.sha256(text.encode()).hexdigest()) == want[name], name
+
+
+def test_block_caches_stay_bounded():
+    # fresh multiplicities and roots add entries; the caches evict instead of
+    # growing without limit
+    from projdunkl.intertwine import _chi_block
+    from projdunkl.opengine import _rho_block
+    for cache, fill in ((_chi_block, lambda j: chi_poly_scaled(
+                             build_subsystem_coordinate(1, [F(j, 7919)]), P("x1^2", 1))),
+                        (_rho_block, lambda j: rho_poly(P("x1^2", 1), rv(F(j, 7919))))):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None
+        misses = cache.cache_info().misses
+        for j in range(1, maxsize + 100):
+            fill(j)
+        info = cache.cache_info()
+        assert info.misses - misses >= maxsize + 99
+        assert info.currsize <= maxsize
 
 
 def test_rho_poly_of_block_invariant_is_zero():

@@ -23,7 +23,7 @@ from projdunkl import (
     kummer_M_derivative,
     one_var_T,
 )
-from projdunkl.kummer import _bold_M_reference
+from projdunkl.kummer import _bold_M_reference, _cf_bold
 
 # reference values from an 80-digit series evaluation, across both regimes and
 # argument classes (small/mid imaginary, real positive/negative)
@@ -139,6 +139,26 @@ def test_precision_validation():
     # the reference agrees with double inside the series radius
     assert _bold_M_reference(0.5, 2j) == pytest.approx(
         bold_M(0.5, 2j), rel=1e-13)
+
+
+def test_kernel_past_exp_overflow():
+    # e^(z/2) overflows past Re z = 1419.6 although bold M_170(1500) ~ e^257
+    # is finite; below that point every value keeps its bits
+    assert bold_M(170.0, 1400.0) == 1.480841576395195e+73
+    assert bold_M(150.0, 1419.5) == 4.57833463366469e+143
+    for kappa, z in ((170.0, 1400.0), (170.0, 1500.0), (150.0, 1420.0),
+                     (170.0, 2000.0 + 300.0j)):
+        ref = _bold_M_reference(kappa, z)
+        assert abs(bold_M(kappa, z) - ref) < 1e-13 * abs(ref), (kappa, z)
+    got = _cf_bold(170.0, np.array([1500.0 + 0j, 2000.0 + 300.0j]), np.exp, np.angle)
+    want = np.array([bold_M(170.0, 1500.0), bold_M(170.0, 2000.0 + 300.0j)])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+    # where the value itself overflows, a clear error instead of inf or nan
+    for kappa, z in ((0.5, 1500.0), (170.0, 3000.0), (170.0, 1e6), (0.0, 800.0)):
+        with pytest.raises(ValueError, match="overflows"):
+            bold_M(kappa, z)
+    with pytest.raises(ValueError, match="overflows"):
+        kummer_M(170.0, 1500.0)  # Gamma(171) bold M_170(1500) ~ e^963
 
 
 # ---- rank-one eigenfunctions ----

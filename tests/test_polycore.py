@@ -1,4 +1,6 @@
 """Sparse exact polynomials and the projection difference quotients."""
+import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -180,3 +182,106 @@ def test_classical_dunkl_known_value():
     p = P("x1^3", 1)
     out = classical_dunkl(p, [rv(1)], [F(3, 2)], rv(1))
     assert out == P("6*x1^2", 1)
+
+
+# ---- integer numerators over one denominator, against plain Fraction dicts ----
+
+def _ref_clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _ref_clean(out)
+
+
+def _ref_derivative(a, xi):
+    out = {}
+    for e, c in a.items():
+        for i, k in enumerate(e):
+            if k:
+                e2 = e[:i] + (k - 1,) + e[i + 1:]
+                out[e2] = out.get(e2, 0) + c * k * xi[i]
+    return _ref_clean(out)
+
+
+def _ref_linear(coeffs):
+    n = len(coeffs)
+    return _ref_clean({tuple(int(k == j) for k in range(n)): c for j, c in enumerate(coeffs)})
+
+
+def _ref_compose(a, rows):
+    n = len(rows)
+    out = {}
+    for e, c in a.items():
+        t = {(0,) * n: c}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                t = _ref_mul(t, _ref_linear(rows[i]))
+        out = _ref_add(out, t)
+    return out
+
+
+def _assert_canonical(p, want):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert dict(p.terms) == want
+    assert MPoly.from_text(p.to_text(), p.nvars) == p
+
+
+NV = 3
+wide_coeffs = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+term_dicts = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * NV), wide_coeffs, max_size=5)
+vectors = st.lists(small_coeffs, min_size=NV, max_size=NV)
+
+
+@given(term_dicts, term_dicts, wide_coeffs, vectors,
+       st.lists(vectors, min_size=NV, max_size=NV), vectors, st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_integer_layer_matches_fraction_reference(da, db, q, xi, rows, alpha, k):
+    a, b = _ref_clean(da), _ref_clean(db)
+    pa, pb = MPoly(NV, da), MPoly(NV, db)
+    _assert_canonical(pa, a)
+    _assert_canonical(pa + pb, _ref_add(a, b))
+    _assert_canonical(pa - pb, _ref_add(a, b, -1))
+    _assert_canonical(-pa, _ref_add({}, a, -1))
+    _assert_canonical(pa * pb, _ref_mul(a, b))
+    _assert_canonical(pa * q, _ref_clean({e: c * q for e, c in a.items()}))
+    _assert_canonical(q * pa, _ref_clean({e: c * q for e, c in a.items()}))
+    power = {(0,) * NV: F(1)}
+    for _ in range(k):
+        power = _ref_mul(power, a)
+    _assert_canonical(pa ** k, power)
+    _assert_canonical(directional_derivative(pa, RationalVector(xi)), _ref_derivative(a, xi))
+    _assert_canonical(compose_linear(pa, LinearMap(rows)), _ref_compose(a, rows))
+    if any(alpha):
+        product = MPoly(NV, _ref_mul(a, _ref_linear(alpha)))
+        _assert_canonical(exact_div_linear(product, RationalVector(alpha)), a)
+
+
+big_coeffs = st.builds(F, st.integers(-10**60, 10**60), st.integers(1, 10**40))
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=4)] * NV),
+                       big_coeffs, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_text_roundtrip_with_large_coefficients(d):
+    p = MPoly(NV, d)
+    _assert_canonical(p, _ref_clean(d))
+    # every printed coefficient is a reduced fraction
+    for top, bottom in re.findall(r"(\d+)/(\d+)", p.to_text()):
+        assert math.gcd(int(top), int(bottom)) == 1

@@ -117,6 +117,9 @@ def test_cli_eval_kernel(capsys):
         assert main(["eval", "M", "--kappa", "1/2", "--z", z, "--bold"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("(") and out.rstrip().endswith("j)")
+    # past Re z = 1419.6, where e^(z/2) alone overflows, a finite kernel prints
+    assert main(["eval", "M", "--kappa", "170", "--z", "1500", "--bold"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(3.207811318384742e+111, rel=1e-13)
 
 
 def test_cli_eval_fractional_integral(capsys):
@@ -167,3 +170,6 @@ def test_cli_bad_inputs_return_error(capsys):
     # next to the negative real axis the kernel refuses instead of guessing
     assert main(["eval", "M", "--kappa", "1/2", "--z=-10"]) == 1
     assert "outside the kernel domain" in capsys.readouterr().err
+    # M_170(1500) = Gamma(171) bold M_170(1500) ~ e^963 overflows a double
+    assert main(["eval", "M", "--kappa", "170", "--z", "1500"]) == 1
+    assert "overflows a double" in capsys.readouterr().err
