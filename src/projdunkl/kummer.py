@@ -17,8 +17,11 @@ serves the scalar and the vectorized entry points, in two regimes:
   e^z z^-kappa - G / Gamma(kappa). G = e^z z^-kappa Gamma(kappa, z) is
   Legendre's continued fraction (DLMF 8.9.2)
   1/(z+1-kappa - 1(1-kappa)/(z+3-kappa - 2(2-kappa)/(z+5-kappa - ...))),
-  evaluated backward from a fixed depth; it converges uniformly in kappa
-  away from the negative real axis.
+  evaluated backward. It converges uniformly in kappa away from the negative
+  real axis, in about C / |z| steps (Gil, Segura and Temme, Numerical Methods
+  for Special Functions, ch. 6), so each evaluation starts at the depth that
+  its smallest |z| needs, _cf_depth, capped at 80. The array path walks its
+  points in chunks of 1024, each at the depth of its own smallest |z|.
 
 Domain: 0 <= kappa <= 170 (Gamma(kappa + 1) is finite), and z in the series
 disk or at |arg z| <= 2 pi / 3, which holds the whole imaginary axis. At
@@ -43,7 +46,8 @@ from .opengine import one_var_T_squared
 from .rootgeom import OrthogonalSubsystem, RationalVector
 
 MAX_ARG = 2.0 * math.pi / 3.0
-_CF_DEPTH = 80
+_CF_DEPTH = 80  # the deepest start of the continued fraction
+_CF_CHUNK = 1024  # array points per continued-fraction evaluation
 # e^x is finite up to x = log(largest double), about 709.78
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -71,22 +75,42 @@ def _series_nonbold(kappa: float, z):
     return acc
 
 
-def _cf_bold(kappa: float, z, exp, angle):
-    """bold M_kappa(z) from Legendre's continued fraction, kappa > 0."""
+def _cf_depth(kappa: float, r: float) -> int:
+    """Depth from which the fraction has converged wherever |z| >= r.
+
+    From this depth on, the backward evaluation agrees with one started at
+    depth 400 to 2^-53 relative, for 0 < kappa <= 170, |arg z| <= 2 pi / 3
+    and |z| up to 1000; tests/test_kummer.py sweeps that domain. At 70000
+    random points of it, 3 + (470 + 64 kappa) / |z| covered the measured
+    depth; the constants below add a margin. Next to |z| = 4 off the axis,
+    80 steps fall short of 2^-53 and the cap keeps them at 80, as before.
+    """
+    return min(_CF_DEPTH, 8 + math.ceil((480.0 + 64.0 * kappa) / r))
+
+
+def _cf_g(kappa: float, z, depth: int):
+    """G = e^z z^-kappa Gamma(kappa, z), Legendre's fraction started at depth."""
     w = z + (1.0 - kappa)
     t = 0.0
-    for j in range(_CF_DEPTH, 0, -1):
+    for j in range(depth, 0, -1):
         t = j * (j - kappa) / (w + 2 * j - t)
-    g = 1.0 / (w - t)
+    return 1.0 / (w - t)
+
+
+def _cf_bold(kappa: float, z, exp, angle):
+    """bold M_kappa(z) from Legendre's continued fraction, kappa > 0."""
+    scalar = isinstance(z, complex)
+    r = abs(z)
+    g = _cf_g(kappa, z, _cf_depth(kappa, r if scalar else r.min()))
     # e^z z^-kappa as the square of e^(z/2) |z|^(-kappa/2) e^(-i kappa arg z / 2):
     # neither factor underflows where the product does not, the modulus goes
     # through pow, and Im z never shares a rounded phase with kappa arg z.
     # Past Re z / 2 = _LOG_MAX, e^(z/2) alone overflows where the product
     # need not, so the excess s moves into the modulus; one scalar s serves a
-    # whole array. Below, s = 0 and every factor keeps its bits.
-    top = z.real if isinstance(z, complex) else z.real.max(initial=0.0)
+    # whole chunk. Below, s = 0 and every factor keeps its bits.
+    top = z.real if scalar else z.real.max(initial=0.0)
     s = max(0.0, top / 2 - _LOG_MAX)
-    half = exp(z / 2 - s) * (abs(z) ** (-kappa / 2) * math.exp(s)
+    half = exp(z / 2 - s) * (r ** (-kappa / 2) * math.exp(s)
                              * exp(-0.5j * kappa * angle(z)))
     return half * half - g / math.gamma(kappa)
 
@@ -168,15 +192,16 @@ def bold_M_on_imaginary(kappa: float, y: np.ndarray) -> np.ndarray:
     """Vectorized kernel values bold M_kappa(i y) for a real array y."""
     _check_kappa(kappa)
     y = np.asarray(y, dtype=float)
-    z = 1j * y
     if kappa == 0:
-        return np.exp(z)
+        return np.exp(1j * y)
     out = np.empty(y.shape, dtype=complex)
     inside = np.abs(y) <= _series_radius(kappa)
     if inside.any():
-        out[inside] = _series_nonbold(kappa, z[inside]) / math.gamma(kappa + 1.0)
-    if not inside.all():
-        out[~inside] = _cf_bold(kappa, z[~inside], np.exp, np.angle)
+        out[inside] = _series_nonbold(kappa, 1j * y[inside]) / math.gamma(kappa + 1.0)
+    far = np.flatnonzero(~inside)
+    for lo in range(0, far.size, _CF_CHUNK):
+        part = far[lo:lo + _CF_CHUNK]
+        out.flat[part] = _cf_bold(kappa, 1j * y.flat[part], np.exp, np.angle)
     return out
 
 

@@ -2,12 +2,12 @@
 
 Nodes and weights come from the Jacobi three-term recurrence (Golub-Welsch
 eigenproblem, as exposed by scipy) mapped from [-1,1] to [0,1]. Orders are
-capped at 200; endpoint exponents must exceed -1 for integrability.
+capped at 200; endpoint exponents must exceed -1 for integrability. The rule
+table holds at most _CACHE_SIZE rules and drops the oldest first.
 """
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +24,21 @@ def _key_fraction(v) -> Fraction:
         return Fraction(v)
     return _as_fraction(v)
 
-_cache: dict[tuple[Fraction, Fraction, int], "JacobiQuadrature"] = {}
-_cache_lock = threading.Lock()
+
+def _key_part(v):
+    """v as a cache key: the exact rational, held as a float where it is one."""
+    q = _key_fraction(v)
+    f = float(q)
+    return f if f == q else q
+
+
+# An int, float or Fraction hashes and compares like the equal rational, so a
+# lookup finds the rule by the arguments as given. Keys hold floats where they
+# can, so the float arguments of the numeric layers compare without building
+# a Fraction. The suites use about a dozen rules and the transform one, so the
+# bound only matters to callers that sweep many kappa.
+_CACHE_SIZE = 256
+_cache: dict[tuple, "JacobiQuadrature"] = {}
 
 
 class JacobiQuadrature:
@@ -61,15 +74,25 @@ class JacobiQuadrature:
 
 
 def get_rule(kappa, order: int, beta=0) -> JacobiQuadrature:
-    """Cached lookup; single writer, many readers."""
-    key = (_key_fraction(kappa), _key_fraction(beta), int(order))
-    rule = _cache.get(key)
+    """Cached lookup, safe from several threads.
+
+    Other spellings of a rational, like the string "1/2", miss the raw lookup
+    and are converted. Two threads that miss together may both build the rule;
+    setdefault hands both the one it kept. A full table drops its oldest rules.
+    """
+    rule = _cache.get((kappa, beta, order))
     if rule is None:
-        with _cache_lock:
-            rule = _cache.get(key)
-            if rule is None:
-                rule = JacobiQuadrature(key[0], key[2], key[1])
-                _cache[key] = rule
+        key = (_key_part(kappa), _key_part(beta), int(order))
+        rule = _cache.get(key)
+        if rule is None:
+            rule = JacobiQuadrature(key[0], key[2], key[1])
+            # a snapshot, since iterating the live table raises if another
+            # thread inserts meanwhile; on a miss that builds a rule, copying
+            # the keys costs well under 1% of the build
+            keys = list(_cache)
+            for old in keys[:len(keys) + 1 - _CACHE_SIZE]:
+                _cache.pop(old, None)
+            rule = _cache.setdefault(key, rule)
     return rule
 
 

@@ -6,7 +6,9 @@ reduces to the classical transform at kappa = 0 and factorizes through the
 dual intertwining map: F_kappa f = F_0 (dual chi f). Quadrature uses
 oscillation-limited Gauss panels (width <= pi / max(1, |lam|)) aligned to the
 support and split at the corners of f, so hard-edged functions are integrated
-exactly panel by panel.
+exactly panel by panel. The kernel is evaluated only at nodes where f is not
+zero: on a piece of the support where f vanishes, or where it underflows next
+to a support end, a node adds an exact zero whatever the kernel value.
 """
 from __future__ import annotations
 
@@ -46,8 +48,12 @@ def kummer_transform(f, kappa: float, lam: float, bound: float | None = None) ->
     a = _support(f, bound)
     value = f.value if hasattr(f, "value") else f
     x, w = _panel_nodes(f, a, math.pi / max(1.0, abs(lam)))
-    kern = bold_M_on_imaginary(kappa, lam * x)
-    return complex(np.dot(w, np.asarray(value(x)) * kern))
+    fx = np.array(np.broadcast_to(value(x), x.shape), dtype=complex)
+    # nodes where f vanishes add exact zeros, so the kernel skips them; the
+    # dot product keeps every node, which keeps its summation order
+    live = fx != 0
+    fx[live] *= bold_M_on_imaginary(kappa, lam * x[live])
+    return complex(np.dot(w, fx))
 
 
 def transform_grid(f, kappa: float, lams: Sequence[float],

@@ -23,7 +23,14 @@ from projdunkl import (
     kummer_M_derivative,
     one_var_T,
 )
-from projdunkl.kummer import _bold_M_reference, _cf_bold
+from projdunkl.kummer import (
+    _CF_DEPTH,
+    MAX_ARG,
+    _bold_M_reference,
+    _cf_bold,
+    _cf_depth,
+    _cf_g,
+)
 
 # reference values from an 80-digit series evaluation, across both regimes and
 # argument classes (small/mid imaginary, real positive/negative)
@@ -103,6 +110,56 @@ def test_vectorized_kernel_matches_scalar_across_regimes():
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
     assert bold_M_on_imaginary(0.0, np.array([2.0]))[0] == pytest.approx(
         np.exp(2j), rel=1e-15)
+    # the array path runs each chunk of the fraction at the depth of its
+    # smallest |z|: shuffled, every chunk holds |z| next to the regime switch
+    # and out to 1000, and each point still matches its own scalar depth
+    rng = np.random.default_rng(7)
+    for kappa in (0.013, 0.37, 2.7, 80.5):
+        ys = np.geomspace(1.001 * max(4.0, kappa), 1000.0, 1500)
+        ys = np.concatenate([ys, -ys])
+        rng.shuffle(ys)
+        got = bold_M_on_imaginary(kappa, ys)
+        want = np.array([bold_M(kappa, 1j * y) for y in ys])
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-15, kappa
+
+
+def _depth_grid():
+    """(kappa, z) over the fraction's domain, as flat arrays.
+
+    37 kappa in [1e-3, 170], dyadic and not, times 25 radii from max(4, kappa)
+    to 1000, times 9 arguments in [0, 2 pi / 3]; then the imaginary axis out
+    to 1000 at kappa like those of the transform benchmark.
+    """
+    kappas = sorted({*np.geomspace(1e-3, 170.0, 30).tolist(),
+                     0.37, 2.7, 0.5, 1.0, 2.0, 80.5, 150.0})
+    kap, z = [], []
+    for k in kappas:
+        for r in np.geomspace(max(4.0, k), 1000.0, 25):
+            for t in np.linspace(0.0, MAX_ARG, 9):
+                kap.append(k)
+                z.append(cmath.rect(r, t))
+    for k in (0.0101, 0.0513, 0.1307, 0.1999, 0.2301, 0.6173, 0.8299, 1.6101,
+              2.3457, 2.9999):
+        for r in np.geomspace(4.0, 1000.0, 60):
+            kap.append(k)
+            z.append(1j * r)
+    return np.array(kap), np.array(z)
+
+
+def test_cf_depth_rule_covers_domain():
+    # converged: the least depth from which every start up to the cap agrees
+    # with a start at depth 400 to 2^-53 relative; cap + 1 where the cap
+    # itself does not (next to |z| = 4 at arg 2 pi / 3, as before the rule)
+    kap, z = _depth_grid()
+    ref = _cf_g(kap, z, 400)
+    converged = np.ones(z.size, dtype=int)
+    for d in range(1, _CF_DEPTH + 1):
+        off = np.abs(_cf_g(kap, z, d) - ref) > 2.0 ** -53 * np.abs(ref)
+        converged[off] = d + 1
+    depth = np.array([_cf_depth(k, abs(v)) for k, v in zip(kap, z)])
+    short = np.flatnonzero(depth < np.minimum(converged, _CF_DEPTH))
+    assert short.size == 0, [(kap[i], z[i], depth[i], converged[i]) for i in short[:5]]
+    assert depth.max() == _CF_DEPTH and depth.min() < 10
 
 
 # the golden kappa and two large ones, then 14 that are not exact binary

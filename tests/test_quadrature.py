@@ -1,11 +1,13 @@
 """Cached Gauss-Jacobi rules and the graded composite mesh."""
 import math
+import sys
 import threading
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+from projdunkl import quadrature
 from projdunkl.quadrature import (
     MAX_ORDER,
     JacobiQuadrature,
@@ -43,6 +45,10 @@ def test_float_kappa_accepted():
     a = get_rule(0.5, 12)
     b = get_rule(F(1, 2), 12)
     assert a is b
+    # a string spelling finds the same rule, for kappa and beta alike
+    assert get_rule("1/2", 12) is a
+    rule = get_rule(F(3, 4), 18, beta=F(1, 2))
+    assert get_rule(0.75, 18, beta=0.5) is get_rule("3/4", 18, beta="1/2") is rule
 
 
 def test_validation():
@@ -66,17 +72,40 @@ def test_integrate_callable_and_values():
 
 
 def test_cache_identity_and_threading():
+    # threads that miss together must still share one rule per key; a short
+    # switch interval makes them interleave inside get_rule
+    keys = [(F(3, 2), 25)] + [(F(k, 89), 7) for k in range(1, 25)]
     rules = []
 
     def grab():
-        rules.append(get_rule(F(3, 2), 25))
+        rules.append([get_rule(*key) for key in keys])
 
-    threads = [threading.Thread(target=grab) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is rules[0] for r in rules)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grab) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(rules) == 8
+    assert all(r is first for got in rules for r, first in zip(got, rules[0]))
+
+
+def test_cache_stays_bounded(monkeypatch):
+    # a private table, so the shared one is left as the other tests expect it
+    monkeypatch.setattr(quadrature, "_cache", {})
+    first = get_rule(F(1, 997), 3)
+    for k in range(1, quadrature._CACHE_SIZE + 40):
+        get_rule(F(k, 991), 3)
+        assert len(quadrature._cache) <= quadrature._CACHE_SIZE
+    # the oldest rule went first and is rebuilt on the next lookup
+    again = get_rule(F(1, 997), 3)
+    assert again is not first
+    assert np.array_equal(again.nodes, first.nodes)
+    assert get_rule(F(1, 997), 3) is again
 
 
 def test_legendre_rule_unit_interval():

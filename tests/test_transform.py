@@ -14,7 +14,7 @@ from projdunkl import (
     transform_csv,
     transform_grid,
 )
-from projdunkl import quadrature
+from projdunkl import bold_M_on_imaginary, quadrature, transform
 from projdunkl.functions import get_function
 
 # F_kappa(bump)(lam) from 50-digit adaptive integration of the series kernel
@@ -69,13 +69,71 @@ def test_l1_norm_frozen_value():
 
 def test_transform_adds_no_quadrature_rule():
     # the kernel needs no kappa-dependent rule, so fresh kappa leave the
-    # rule cache as the first call left it
+    # rule cache as the first call left it; the keys are compared, so a new
+    # rule shows even where it would evict an old one from a full table
     bump = get_function("bump")
     kummer_transform(bump, 0.5, 30.0)
-    size = len(quadrature._cache)
+    before = set(quadrature._cache)
     for kappa in (0.137, 0.613, 1.29, 2.71, 7.77):
         kummer_transform(bump, kappa, 30.0)
-    assert len(quadrature._cache) == size
+    assert set(quadrature._cache) <= before
+
+
+# exact outputs, (function, kappa, lam, re, im) as float.hex, pinned so that a
+# change of the kernel's depth or of which nodes it visits shows in the last bit
+FROZEN_BITS = [
+    ("bump", 0.37, 0.0, "0x1.5b6bdc5b65e08p+0", "0x0.0p+0"),
+    ("bump", 0.37, 7.5, "0x1.3705c856b8deep-3", "-0x1.7480000000000p-58"),
+    ("bump", 0.37, 120.0, "0x1.677ea72e04878p-7", "0x1.bcbb910000000p-56"),
+    ("bump", 2.7, 0.0, "0x1.28530c8cc6876p-2", "0x0.0p+0"),
+    ("bump", 2.7, 7.5, "0x1.8cae228d2bb72p-3", "0x1.1400000000000p-62"),
+    ("bump", 2.7, 120.0, "0x1.106091237b62cp-6", "0x1.e3bc37fc00000p-61"),
+    ("indicator", 0.37, 0.0, "0x1.1fdccc18f8367p+1", "0x0.0p+0"),
+    ("indicator", 0.37, 7.5, "0x1.03314ba912c9bp-2", "-0x1.6b00000000000p-58"),
+    ("indicator", 0.37, 120.0, "0x1.6960acf4dfb88p-7", "0x1.c3d4000000000p-56"),
+    ("indicator", 2.7, 0.0, "0x1.eb0ce373c490cp-2", "0x0.0p+0"),
+    ("indicator", 2.7, 7.5, "0x1.db9058bf1f042p-3", "0x1.e000000000000p-64"),
+    ("indicator", 2.7, 120.0, "0x1.132daa476814ap-6", "-0x1.7c56000000000p-59"),
+    ("gaussian", 0.37, 0.0, "0x1.68c83980a61eep+1", "0x0.0p+0"),
+    ("gaussian", 0.37, 7.5, "0x1.80e49e160fcb4p-3", "0x1.700c79bf9bf10p-54"),
+    ("gaussian", 0.37, 120.0, "0x1.666c671a8b8cdp-7", "0x1.0000000000000p-58"),
+    ("gaussian", 2.7, 0.0, "0x1.33b85d126c83ep-1", "0x0.0p+0"),
+    ("gaussian", 2.7, 7.5, "0x1.ccefb2638eaf3p-3", "0x1.86a58512522d0p-59"),
+    ("gaussian", 2.7, 120.0, "0x1.128e1fbd353e6p-6", "-0x1.0000000000000p-55"),
+    ("ind13", 0.37, 0.0, "0x1.afcb32257451bp+0", "0x0.0p+0"),
+    ("ind13", 0.37, 7.5, "0x1.8c2e3df82eaeap-11", "-0x1.e0ad53679a5c6p-8"),
+    ("ind13", 0.37, 120.0, "-0x1.e18188fb88ef2p-18", "0x1.67250633b1d3dp-9"),
+    ("ind13", 2.7, 0.0, "0x1.7049aa96d36c8p-2", "0x0.0p+0"),
+    ("ind13", 2.7, 7.5, "0x1.21cff47bcd3e4p-7", "0x1.1599c27aece2fp-4"),
+    ("ind13", 2.7, 120.0, "0x1.19c86ad0b26bap-15", "0x1.175d2e85bc74bp-8"),
+]
+
+
+def test_transform_frozen_bits():
+    got = [(name, kappa, lam, v.real.hex(), v.imag.hex())
+           for name, kappa, lam, _, _ in FROZEN_BITS
+           for v in [kummer_transform(get_function(name), kappa, lam)]]
+    assert got == FROZEN_BITS
+
+
+@pytest.mark.parametrize("name", ["ind13", "bump"])
+def test_transform_skips_kernel_where_f_vanishes(monkeypatch, name):
+    # ind13 is 0 on its whole [-3, 1] piece, bump underflows next to its ends
+    f = get_function(name)
+    seen = []
+
+    def kernel(kappa, y):
+        seen.append(np.array(y))
+        return bold_M_on_imaginary(kappa, y)
+
+    monkeypatch.setattr(transform, "bold_M_on_imaginary", kernel)
+    for lam in (1.0, 7.5, 120.0):
+        seen.clear()
+        kummer_transform(f, 0.37, lam)
+        x, _ = transform._panel_nodes(f, f.support_bound, math.pi / lam)
+        assert sum(y.size for y in seen) == np.count_nonzero(f.value(x)) < x.size
+        if lam == 1.0:  # the kernel arguments are the nodes themselves
+            assert np.all(f.value(np.concatenate(seen)) != 0)
 
 
 def test_l1_norm_requires_support():
