@@ -67,11 +67,18 @@ def _check_kappa(kappa: float) -> None:
 def _series_nonbold(kappa: float, z):
     """M_kappa(z) from its series, for |z| <= max(4, kappa)."""
     # on |z| <= kappa, |term n| <= prod_j kappa / (kappa + 1 + j) < 1e-20 once
-    # n >= 12 sqrt(kappa); 70 terms also cover |z| <= 4
+    # n >= 12 sqrt(kappa); 70 terms also cover |z| <= 4. The sum stops sooner
+    # once r^n / (kappa + 1)_n, which bounds term n for the largest |z| = r,
+    # drops below 1e-30: past their peak the terms only shrink.
+    r = abs(z) if isinstance(z, complex) else float(np.abs(z).max(initial=0.0))
     acc = term = 1.0 + 0.0j
+    bound = 1.0
     for n in range(max(70, int(12.0 * math.sqrt(kappa)))):
         term = term * z / (kappa + 1.0 + n)
         acc += term
+        bound *= r / (kappa + 1.0 + n)
+        if bound < 1e-30:
+            break
     return acc
 
 

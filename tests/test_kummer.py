@@ -30,6 +30,7 @@ from projdunkl.kummer import (
     _cf_bold,
     _cf_depth,
     _cf_g,
+    _series_nonbold,
 )
 
 # reference values from an 80-digit series evaluation, across both regimes and
@@ -121,6 +122,28 @@ def test_vectorized_kernel_matches_scalar_across_regimes():
         got = bold_M_on_imaginary(kappa, ys)
         want = np.array([bold_M(kappa, 1j * y) for y in ys])
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-15, kappa
+
+
+def test_series_stops_early_with_the_same_bits():
+    # the sum stops once its term bound drops below 1e-30; against the full
+    # max(70, 12 sqrt(kappa)) terms not one bit moves, on the axis and off it
+    def full(kappa, z):
+        acc = term = 1.0 + 0.0j
+        for n in range(max(70, int(12.0 * math.sqrt(kappa)))):
+            term = term * z / (kappa + 1.0 + n)
+            acc += term
+        return acc
+
+    rng = np.random.default_rng(3)
+    for kappa in (0.001, 0.37, 2.7, 19.9, 149.9, 170.0):
+        r = max(4.0, kappa)
+        z = 1j * rng.uniform(-r, r, 300)
+        assert np.array_equal(_series_nonbold(kappa, z), full(kappa, z))
+        for _ in range(50):
+            z = cmath.rect(rng.uniform(0.0, r), rng.uniform(-math.pi, math.pi))
+            assert _series_nonbold(kappa, z) == full(kappa, z)
+    assert _series_nonbold(0.37, 0j) == 1.0
+    assert _series_nonbold(0.37, np.zeros(0, dtype=complex)).size == 0
 
 
 def _depth_grid():
