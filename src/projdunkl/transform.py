@@ -20,7 +20,7 @@ import numpy as np
 
 from .functions import TestFunction, get_function
 from .intertwine import dual_chi
-from .kummer import bold_M_on_imaginary
+from .kummer import bold_M_on_imaginary, gamma_plus_one
 from .quadrature import graded_panels, legendre_rule
 
 _PANEL_ORDER = 24
@@ -76,7 +76,7 @@ def sup_norm_bound_check(f, kappa: float, lams: Sequence[float],
     Returns (ok, observed sup, allowed bound).
     """
     vals = np.abs(transform_grid(f, kappa, lams, bound))
-    allowed = l1_norm(f, bound) / math.gamma(kappa + 1.0) + slack
+    allowed = l1_norm(f, bound) / gamma_plus_one(kappa) + slack
     return bool(np.all(vals <= allowed)), float(np.max(vals)), allowed
 
 

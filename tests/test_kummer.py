@@ -31,6 +31,7 @@ from projdunkl.kummer import (
     _cf_depth,
     _cf_g,
     _series_nonbold,
+    gamma_plus_one,
 )
 
 # reference values from an 80-digit series evaluation, across both regimes and
@@ -144,6 +145,22 @@ def test_series_stops_early_with_the_same_bits():
             assert _series_nonbold(kappa, z) == full(kappa, z)
     assert _series_nonbold(0.37, 0j) == 1.0
     assert _series_nonbold(0.37, np.zeros(0, dtype=complex)).size == 0
+
+
+def test_gamma_plus_one_against_mpmath():
+    # kappa + 1.0 rounds for most kappa, and Gamma scales that rounding by
+    # its log-derivative: math.gamma(kappa + 1.0) is off by 7e-14 near 127
+    import mpmath as mp
+
+    kappas = np.concatenate([np.geomspace(1e-3, 170.0, 1200),
+                             np.linspace(1e-3, 170.0, 1200), [0.37, 2.7, 127.3]])
+    worst = 0.0
+    with mp.workdps(30):
+        for k in kappas.tolist():
+            ref = mp.gamma(mp.mpf(k) + 1)
+            worst = max(worst, float(abs(gamma_plus_one(k) - ref) / ref))
+    assert worst <= 1e-15
+    assert gamma_plus_one(0.0) == 1.0 and gamma_plus_one(4.0) == 24.0
 
 
 def _depth_grid():
