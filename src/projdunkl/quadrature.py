@@ -4,6 +4,15 @@ Nodes and weights come from the Jacobi three-term recurrence (Golub-Welsch
 eigenproblem, as exposed by scipy) mapped from [-1,1] to [0,1]. Orders are
 capped at 200; endpoint exponents must exceed -1 for integrability. The rule
 table holds at most _CACHE_SIZE rules and drops the oldest first.
+
+graded_panels, the one composite mesh of the package, splits each of its two
+end cells geometrically toward the interval's end and runs those slivers at
+half the order: an integrand analytic inside the cell needs few nodes on a
+sliver that is short against the distance to its singularity, and a
+geometric mesh needs the full order only away from the singular point
+(Schwab, p- and hp-Finite Element Methods, 1998, ch. 4). The slivers of one
+end cell come from one template on [0, 1] per (order, depth), held in a
+table bounded like the rule table.
 """
 from __future__ import annotations
 
@@ -39,6 +48,23 @@ def _key_part(v):
 # bound only matters to callers that sweep many kappa.
 _CACHE_SIZE = 256
 _cache: dict[tuple, "JacobiQuadrature"] = {}
+# sliver templates per (order, depth); the package uses three orders
+_SLIVER_CACHE_SIZE = 32
+_slivers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _store(table: dict, key, value, size: int):
+    """table[key] = value, keeping at most size entries by dropping the oldest.
+
+    Safe from several threads: two that miss together hand both callers the
+    value that setdefault kept. The keys are a snapshot, since iterating the
+    live table raises if another thread inserts meanwhile; callers store only
+    after a miss that built the value, so copying the keys costs little.
+    """
+    keys = list(table)
+    for old in keys[:len(keys) + 1 - size]:
+        table.pop(old, None)
+    return table.setdefault(key, value)
 
 
 class JacobiQuadrature:
@@ -85,14 +111,8 @@ def get_rule(kappa, order: int, beta=0) -> JacobiQuadrature:
         key = (_key_part(kappa), _key_part(beta), int(order))
         rule = _cache.get(key)
         if rule is None:
-            rule = JacobiQuadrature(key[0], key[2], key[1])
-            # a snapshot, since iterating the live table raises if another
-            # thread inserts meanwhile; on a miss that builds a rule, copying
-            # the keys costs well under 1% of the build
-            keys = list(_cache)
-            for old in keys[:len(keys) + 1 - _CACHE_SIZE]:
-                _cache.pop(old, None)
-            rule = _cache.setdefault(key, rule)
+            rule = _store(_cache, key, JacobiQuadrature(key[0], key[2], key[1]),
+                          _CACHE_SIZE)
     return rule
 
 
@@ -102,29 +122,47 @@ def legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return r.nodes, r.weights
 
 
+def _sliver_template(order: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] for the cells [0, 2^-depth] and
+    [2^-(k+1), 2^-k], k < depth, each at half the order, in ascending order."""
+    key = (order, depth)
+    template = _slivers.get(key)
+    if template is None:
+        nodes, weights = legendre_rule((order + 1) // 2)
+        edges = np.concatenate([[0.0], 2.0 ** -np.arange(depth, -1, -1)])
+        widths = np.diff(edges)
+        template = _store(_slivers, key,
+                          ((edges[:-1, None] + widths[:, None] * nodes).ravel(),
+                           (widths[:, None] * weights).ravel()),
+                          _SLIVER_CACHE_SIZE)
+    return template
+
+
 def graded_panels(a: float, b: float, order: int, max_width: float | None = None,
                   depth: int = 24) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss nodes and weights on [a, b], refined toward both ends.
 
-    The first and last base cells are split by repeated halving toward the
-    endpoints, keeping the innermost sliver as a cell of its own. This
-    restores fast convergence when the integrand loses smoothness only at
-    the ends of the interval (support edges, corner points, weight factors
-    whose scale shrinks toward an endpoint).
+    [a, b] is cut into at least four equal cells no wider than max_width, with
+    order nodes each. The first and last are split by repeated halving toward
+    the endpoints into depth + 1 slivers, the innermost kept as a cell of its
+    own, at half the order. This restores fast convergence when the integrand
+    loses smoothness only at the ends of the interval (support edges, corner
+    points, weight factors whose scale shrinks toward an endpoint). The
+    sliver at level k, k halvings in from the cell's inner edge, is 2^-(k+1)
+    of the cell wide and carries that share of its mass.
     """
     length = b - a
     if not length > 0:
         raise ValueError("panel range must have positive length")
     nodes, weights = legendre_rule(order)
+    t, tw = _sliver_template(order, depth)
     width = length / 4.0 if max_width is None else min(max_width, length / 4.0)
-    n = max(1, math.ceil(length / width))
-    edges = np.linspace(a, b, n + 1)
-    halves = 2.0 ** -np.arange(1, depth + 1)
-    left = a + (edges[1] - a) * halves[::-1]
-    right = b - (edges[-1] - edges[-2]) * halves
-    edges = np.unique(np.concatenate([edges, left, right]))
-    widths = np.diff(edges)
-    x = (edges[:-1, None] + widths[:, None] * nodes[None, :]).ravel()
-    w = (widths[:, None] * weights[None, :]).ravel()
+    edges = np.linspace(a, b, math.ceil(length / width) + 1)
+    first, last = edges[1] - a, b - edges[-2]
+    widths = np.diff(edges[1:-1])
+    x = np.concatenate([a + first * t,
+                        (edges[1:-2, None] + widths[:, None] * nodes).ravel(),
+                        b - last * t[::-1]])
+    w = np.concatenate([first * tw, (widths[:, None] * weights).ravel(),
+                        last * tw[::-1]])
     return x, w
-

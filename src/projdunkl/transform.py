@@ -4,11 +4,18 @@
 
 reduces to the classical transform at kappa = 0 and factorizes through the
 dual intertwining map: F_kappa f = F_0 (dual chi f). Quadrature uses
-oscillation-limited Gauss panels (width <= pi / max(1, |lam|)) aligned to the
-support and split at the corners of f, so hard-edged functions are integrated
-exactly panel by panel. The kernel is evaluated only at nodes where f is not
-zero: on a piece of the support where f vanishes, or where it underflows next
-to a support end, a node adds an exact zero whatever the kernel value.
+oscillation-limited Gauss panels aligned to the support and split at the
+corners of f, so hard-edged functions are integrated exactly panel by panel.
+A panel is at most 4 pi / max(1, |lam|) wide, two periods of e^(i lam x),
+with 24 nodes: Gauss-Legendre converges geometrically on analytic
+integrands (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
+SIAM Rev. 2008), and for e^(i w t) on [-1, 1] at w = 2 pi its 24-node error
+bound 2^49 (24!)^4 / (49 (48!)^3) w^48 (Abramowitz and Stegun 25.4.30) is
+about 2e-37. The end cells of each piece are graded
+toward the piece's ends at half the order (quadrature.graded_panels). The
+kernel is evaluated only at nodes where f is not zero: on a piece of the
+support where f vanishes, or where it underflows next to a support end, a
+node adds an exact zero whatever the kernel value.
 """
 from __future__ import annotations
 
@@ -43,11 +50,16 @@ def _panel_nodes(f, a: float, max_width: float, order: int = _PANEL_ORDER):
     return tuple(np.concatenate(part) for part in zip(*pieces))
 
 
+def _panel_width(lam: float) -> float:
+    """The widest transform panel at lam: two periods of e^(i lam x)."""
+    return 4.0 * math.pi / max(1.0, abs(lam))
+
+
 def kummer_transform(f, kappa: float, lam: float, bound: float | None = None) -> complex:
     """F_kappa(f)(lam) over the (finite) support of f."""
     a = _support(f, bound)
     value = f.value if hasattr(f, "value") else f
-    x, w = _panel_nodes(f, a, math.pi / max(1.0, abs(lam)))
+    x, w = _panel_nodes(f, a, _panel_width(lam))
     fx = np.array(np.broadcast_to(value(x), x.shape), dtype=complex)
     # nodes where f vanishes add exact zeros, so the kernel skips them; the
     # dot product keeps every node, which keeps its summation order

@@ -136,3 +136,36 @@ def test_graded_panels_resolve_endpoint_flatness():
 def test_graded_panels_rejects_empty_range():
     with pytest.raises(ValueError):
         graded_panels(1.0, 1.0, 8)
+
+
+def test_graded_panels_half_order_slivers():
+    # four cells of 24 nodes on [-1, 3]; each end cell is 25 slivers of 12
+    depth = 24
+    x, w = graded_panels(-1.0, 3.0, 24, depth=depth)
+    assert x.size == 2 * 24 + 2 * (depth + 1) * 12
+    assert np.all(np.diff(x) > 0) and x[0] > -1.0 and x[-1] < 3.0
+    assert float(np.sum(w)) == pytest.approx(4.0, rel=1e-15)
+    # the sliver k halvings in from the left end cell's inner edge spans
+    # [-1 + 2^-(k+1), -1 + 2^-k] and carries at most 2^-k of the cell's mass
+    for k in range(depth):
+        inside = (x > -1.0 + 2.0 ** -(k + 1)) & (x < -1.0 + 2.0 ** -k)
+        assert np.count_nonzero(inside) == 12
+        assert float(np.sum(w[inside])) == pytest.approx(2.0 ** -(k + 1), rel=1e-14)
+    # mirror image at the right end
+    assert np.allclose(x[-12 * (depth + 1):], 2.0 - x[:12 * (depth + 1)][::-1],
+                       rtol=0, atol=1e-15)
+    # degree 11 is exact on every sliver, degree 47 on the middle cells
+    assert float(np.dot(w, (x + 1.0) ** 11)) == pytest.approx(4.0 ** 12 / 12, rel=1e-13)
+
+
+def test_sliver_templates_stay_bounded(monkeypatch):
+    # a private table, so the shared one is left as the other tests expect it
+    monkeypatch.setattr(quadrature, "_slivers", {})
+    first = quadrature._sliver_template(24, 3)
+    for depth in range(4, 4 + quadrature._SLIVER_CACHE_SIZE + 10):
+        graded_panels(0.0, 1.0, 24, depth=depth)
+        assert len(quadrature._slivers) <= quadrature._SLIVER_CACHE_SIZE
+    again = quadrature._sliver_template(24, 3)
+    assert again is not first
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
+    assert quadrature._sliver_template(24, 3) is again

@@ -1,6 +1,7 @@
 """Deformed Fourier transform: frozen values, norm bounds, factorization."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -83,29 +84,29 @@ def test_transform_adds_no_quadrature_rule():
 # change of the kernel's depth or of which nodes it visits shows in the last bit
 FROZEN_BITS = [
     ("bump", 0.37, 0.0, "0x1.5b6bdc5b65e08p+0", "0x0.0p+0"),
-    ("bump", 0.37, 7.5, "0x1.3705c856b8deep-3", "-0x1.7480000000000p-58"),
-    ("bump", 0.37, 120.0, "0x1.677ea72e04878p-7", "0x1.bcbb910000000p-56"),
+    ("bump", 0.37, 7.5, "0x1.3705c856b8deep-3", "0x1.8000000000000p-63"),
+    ("bump", 0.37, 120.0, "0x1.677ea72e0487cp-7", "-0x1.2a00000000000p-54"),
     ("bump", 2.7, 0.0, "0x1.28530c8cc6876p-2", "0x0.0p+0"),
-    ("bump", 2.7, 7.5, "0x1.8cae228d2bb72p-3", "0x1.1400000000000p-62"),
-    ("bump", 2.7, 120.0, "0x1.106091237b62cp-6", "0x1.e3bc37fc00000p-61"),
-    ("indicator", 0.37, 0.0, "0x1.1fdccc18f8367p+1", "0x0.0p+0"),
-    ("indicator", 0.37, 7.5, "0x1.03314ba912c9bp-2", "-0x1.6b00000000000p-58"),
-    ("indicator", 0.37, 120.0, "0x1.6960acf4dfb88p-7", "0x1.c3d4000000000p-56"),
+    ("bump", 2.7, 7.5, "0x1.8cae228d2bb72p-3", "-0x1.2000000000000p-62"),
+    ("bump", 2.7, 120.0, "0x1.106091237b62ep-6", "-0x1.7000000000000p-62"),
+    ("indicator", 0.37, 0.0, "0x1.1fdccc18f8368p+1", "0x0.0p+0"),
+    ("indicator", 0.37, 7.5, "0x1.03314ba912c9cp-2", "0x1.f800000000000p-59"),
+    ("indicator", 0.37, 120.0, "0x1.6960acf4dfb7ep-7", "-0x1.8c00000000000p-54"),
     ("indicator", 2.7, 0.0, "0x1.eb0ce373c490cp-2", "0x0.0p+0"),
-    ("indicator", 2.7, 7.5, "0x1.db9058bf1f042p-3", "0x1.e000000000000p-64"),
-    ("indicator", 2.7, 120.0, "0x1.132daa476814ap-6", "-0x1.7c56000000000p-59"),
+    ("indicator", 2.7, 7.5, "0x1.db9058bf1f042p-3", "-0x1.7000000000000p-60"),
+    ("indicator", 2.7, 120.0, "0x1.132daa476814cp-6", "-0x1.1000000000000p-60"),
     ("gaussian", 0.37, 0.0, "0x1.68c83980a61eep+1", "0x0.0p+0"),
-    ("gaussian", 0.37, 7.5, "0x1.80e49e160fcb4p-3", "0x1.700c79bf9bf10p-54"),
-    ("gaussian", 0.37, 120.0, "0x1.666c671a8b8cdp-7", "0x1.0000000000000p-58"),
+    ("gaussian", 0.37, 7.5, "0x1.80e49e160fcc6p-3", "-0x1.0000000000000p-52"),
+    ("gaussian", 0.37, 120.0, "0x1.666c671a8b8aap-7", "0x1.8000000000000p-55"),
     ("gaussian", 2.7, 0.0, "0x1.33b85d126c83ep-1", "0x0.0p+0"),
-    ("gaussian", 2.7, 7.5, "0x1.ccefb2638eaf3p-3", "0x1.86a58512522d0p-59"),
-    ("gaussian", 2.7, 120.0, "0x1.128e1fbd353e6p-6", "-0x1.0000000000000p-55"),
-    ("ind13", 0.37, 0.0, "0x1.afcb32257451bp+0", "0x0.0p+0"),
-    ("ind13", 0.37, 7.5, "0x1.8c2e3df82eaeap-11", "-0x1.e0ad53679a5c6p-8"),
-    ("ind13", 0.37, 120.0, "-0x1.e18188fb88ef2p-18", "0x1.67250633b1d3dp-9"),
+    ("gaussian", 2.7, 7.5, "0x1.ccefb2638eaf7p-3", "0x1.0000000000000p-57"),
+    ("gaussian", 2.7, 120.0, "0x1.128e1fbd353e6p-6", "0x1.b000000000000p-61"),
+    ("ind13", 0.37, 0.0, "0x1.afcb32257451cp+0", "0x0.0p+0"),
+    ("ind13", 0.37, 7.5, "0x1.8c2e3df82e9ecp-11", "-0x1.e0ad53679a5c8p-8"),
+    ("ind13", 0.37, 120.0, "-0x1.e18188fba3800p-18", "0x1.67250633b1e11p-9"),
     ("ind13", 2.7, 0.0, "0x1.7049aa96d36c8p-2", "0x0.0p+0"),
-    ("ind13", 2.7, 7.5, "0x1.21cff47bcd3e4p-7", "0x1.1599c27aece2fp-4"),
-    ("ind13", 2.7, 120.0, "0x1.19c86ad0b26bap-15", "0x1.175d2e85bc74bp-8"),
+    ("ind13", 2.7, 7.5, "0x1.21cff47bcd3e7p-7", "0x1.1599c27aece2ep-4"),
+    ("ind13", 2.7, 120.0, "0x1.19c86ad0b26b7p-15", "0x1.175d2e85bc74bp-8"),
 ]
 
 
@@ -114,6 +115,96 @@ def test_transform_frozen_bits():
            for name, kappa, lam, _, _ in FROZEN_BITS
            for v in [kummer_transform(get_function(name), kappa, lam)]]
     assert got == FROZEN_BITS
+
+
+def _closed_form(name, kappa, lam):
+    """F_kappa f(lam) for indicator and gaussian as hypergeometric series."""
+    k, lam, half = mp.mpf(kappa), mp.mpf(lam), mp.mpf(1) / 2
+    if name == "indicator":
+        v = 2 * mp.hyper([half, 1], [3 * half, (k + 1) / 2, (k + 2) / 2], -lam**2 / 4)
+    else:
+        v = mp.sqrt(2 * mp.pi) * mp.hyper([half, 1], [(k + 1) / 2, (k + 2) / 2],
+                                          -lam**2 / 2)
+    return complex(v / mp.gamma(k + 1))
+
+
+def _smoothstep_mp(u):
+    if u <= 0:
+        return mp.mpf(0)
+    if u >= 1:
+        return mp.mpf(1)
+    a, b = mp.exp(-1 / u), mp.exp(-1 / (1 - u))
+    return a / (a + b)
+
+
+def _quad_reference(name, kappa, lam):
+    """F_kappa f(lam) by mpmath.quad over the pieces of f, split per period."""
+    k = mp.mpf(kappa)
+    if name == "bump":  # even and real: twice the real part over [0, 1]
+        f, cuts, fold = (lambda x: mp.exp(1 - 1 / (1 - x * x)) if x < 1 else 0), [0, 1], 2
+    else:  # ind13 vanishes on [-3, 1]
+        f, cuts, fold = (lambda x: _smoothstep_mp(2 * (x - 1)) * _smoothstep_mp(2 * (3 - x)),
+                         [1, 1.5, 2.5, 3], 1)
+    pts = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        n = max(1, math.ceil((hi - lo) * lam / (4 * math.pi)))
+        pts.extend(mp.linspace(lo, hi, n + 1)[:-1])
+    pts.append(mp.mpf(cuts[-1]))
+    v = mp.quad(lambda x: f(x) * mp.hyp1f1(1, k + 1, 1j * lam * x), pts) / mp.gamma(k + 1)
+    return complex(v) if fold == 1 else complex(2 * v.real)
+
+
+def test_transform_against_independent_references():
+    # closed forms for the two analytic pieces, 20-30 digit quadrature for the
+    # other two at the frozen points; errors scaled by ||f||_1 / Gamma(kappa+1),
+    # the sup bound of |F|, as the benchmark's accuracy metrics are
+    lams = np.arange(0.0, 301.0, 5.0).tolist()
+    worst = {}
+    with mp.workdps(30):
+        for name, l1 in (("indicator", 2.0), ("gaussian", math.sqrt(2 * math.pi))):
+            f = get_function(name)
+            for kappa in (0.01, 0.37, 2.7, 7.3):
+                got = transform_grid(f, kappa, lams)
+                want = np.array([_closed_form(name, kappa, lam) for lam in lams])
+                err = np.max(np.abs(got - want)) * math.gamma(kappa + 1.0) / l1
+                worst[name, kappa] = err
+    with mp.workdps(20):
+        for name, l1 in (("bump", 1.2069003224378762), ("ind13", 1.5)):
+            f = get_function(name)
+            for kappa in (0.37, 2.7):
+                for lam in (0.0, 7.5, 120.0):
+                    err = abs(kummer_transform(f, kappa, lam)
+                              - _quad_reference(name, kappa, lam))
+                    worst[name, kappa, lam] = err * math.gamma(kappa + 1.0) / l1
+    print(max(worst.items(), key=lambda kv: kv[1]))
+    closed = {key: e for key, e in worst.items() if len(key) == 2}
+    quad = {key: e for key, e in worst.items() if len(key) == 3}
+    assert max(closed.values()) <= 3.5e-15, closed
+    assert max(quad.values()) <= 2e-15, quad
+
+
+# nodes of the mesh kummer_transform builds: panels of two periods with 24
+# nodes, and 25 half-order slivers at each end of each piece of the support
+NODE_BUDGET = {
+    7.5: {"bump": 744, "indicator": 744, "gaussian": 792, "ind13": 2640},
+    120.0: {"bump": 1032, "indicator": 1032, "gaussian": 4224, "ind13": 3624},
+}
+
+
+@pytest.mark.parametrize("lam", sorted(NODE_BUDGET))
+def test_transform_node_budget(monkeypatch, lam):
+    sizes = []
+
+    def panels(*args, **kwargs):
+        x, w = quadrature.graded_panels(*args, **kwargs)
+        sizes.append(x.size)
+        return x, w
+
+    monkeypatch.setattr(transform, "graded_panels", panels)
+    for name, budget in NODE_BUDGET[lam].items():
+        sizes.clear()
+        kummer_transform(get_function(name), 0.37, lam)
+        assert 0 < sum(sizes) <= budget, (name, sum(sizes))
 
 
 @pytest.mark.parametrize("name", ["ind13", "bump"])
@@ -130,7 +221,7 @@ def test_transform_skips_kernel_where_f_vanishes(monkeypatch, name):
     for lam in (1.0, 7.5, 120.0):
         seen.clear()
         kummer_transform(f, 0.37, lam)
-        x, _ = transform._panel_nodes(f, f.support_bound, math.pi / lam)
+        x, _ = transform._panel_nodes(f, f.support_bound, transform._panel_width(lam))
         assert sum(y.size for y in seen) == np.count_nonzero(f.value(x)) < x.size
         if lam == 1.0:  # the kernel arguments are the nodes themselves
             assert np.all(f.value(np.concatenate(seen)) != 0)
