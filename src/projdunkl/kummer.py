@@ -10,7 +10,8 @@ bold M is the transform kernel; M is the rank-one eigenfunction normalization.
 At kappa = 0 both collapse to exp(z), for every z. Otherwise one evaluator
 serves the scalar and the vectorized entry points, in two regimes:
 
-- |z| <= max(4, kappa): the series above. No term exceeds 4^n / n! < 11, or
+- |z| <= max(4, kappa): the series above, summed until r^n / (kappa + 1)_n,
+  r the largest |z|, drops below 1e-30. No term exceeds 4^n / n! < 11, or
   the first one once |z| <= kappa, which bounds what cancels.
 - elsewhere: bold M_kappa(z) = e^z z^-kappa P(kappa, z) (DLMF 8.2.7), P the
   regularized lower incomplete gamma function, through its complement

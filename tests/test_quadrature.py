@@ -154,7 +154,7 @@ def test_graded_panels_half_order_slivers():
     # mirror image at the right end
     assert np.allclose(x[-12 * (depth + 1):], 2.0 - x[:12 * (depth + 1)][::-1],
                        rtol=0, atol=1e-15)
-    # degree 11 is exact on every sliver, degree 47 on the middle cells
+    # 12 nodes integrate degree 23 exactly, so degree 11 is exact on every cell
     assert float(np.dot(w, (x + 1.0) ** 11)) == pytest.approx(4.0 ** 12 / 12, rel=1e-13)
 
 

@@ -138,47 +138,47 @@ def _smoothstep_mp(u):
 
 
 def _quad_reference(name, kappa, lam):
-    """F_kappa f(lam) by mpmath.quad over the pieces of f, split per period."""
-    k = mp.mpf(kappa)
+    """F_kappa f(lam) by mpmath.quad over the pieces of f, cut every two periods."""
     if name == "bump":  # even and real: twice the real part over [0, 1]
-        f, cuts, fold = (lambda x: mp.exp(1 - 1 / (1 - x * x)) if x < 1 else 0), [0, 1], 2
+        cuts = [0, 1]
+
+        def f(x):
+            return mp.exp(1 - 1 / (1 - x * x)) if x < 1 else 0
     else:  # ind13 vanishes on [-3, 1]
-        f, cuts, fold = (lambda x: _smoothstep_mp(2 * (x - 1)) * _smoothstep_mp(2 * (3 - x)),
-                         [1, 1.5, 2.5, 3], 1)
+        cuts = [1, 1.5, 2.5, 3]
+
+        def f(x):
+            return _smoothstep_mp(2 * (x - 1)) * _smoothstep_mp(2 * (3 - x))
     pts = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         n = max(1, math.ceil((hi - lo) * lam / (4 * math.pi)))
         pts.extend(mp.linspace(lo, hi, n + 1)[:-1])
     pts.append(mp.mpf(cuts[-1]))
+    k = mp.mpf(kappa)
     v = mp.quad(lambda x: f(x) * mp.hyp1f1(1, k + 1, 1j * lam * x), pts) / mp.gamma(k + 1)
-    return complex(v) if fold == 1 else complex(2 * v.real)
+    return complex(2 * v.real) if name == "bump" else complex(v)
 
 
 def test_transform_against_independent_references():
-    # closed forms for the two analytic pieces, 20-30 digit quadrature for the
-    # other two at the frozen points; errors scaled by ||f||_1 / Gamma(kappa+1),
-    # the sup bound of |F|, as the benchmark's accuracy metrics are
+    # closed forms on a lam grid for the two functions that have one, 20-digit
+    # quadrature at the frozen points for the other two; errors are scaled by
+    # ||f||_1 / Gamma(kappa + 1), the sup bound of |F|, as in the benchmark
     lams = np.arange(0.0, 301.0, 5.0).tolist()
-    worst = {}
+    closed, quad = {}, {}
     with mp.workdps(30):
         for name, l1 in (("indicator", 2.0), ("gaussian", math.sqrt(2 * math.pi))):
-            f = get_function(name)
             for kappa in (0.01, 0.37, 2.7, 7.3):
-                got = transform_grid(f, kappa, lams)
+                got = transform_grid(get_function(name), kappa, lams)
                 want = np.array([_closed_form(name, kappa, lam) for lam in lams])
-                err = np.max(np.abs(got - want)) * math.gamma(kappa + 1.0) / l1
-                worst[name, kappa] = err
+                closed[name, kappa] = (np.max(np.abs(got - want))
+                                       * math.gamma(kappa + 1.0) / l1)
     with mp.workdps(20):
         for name, l1 in (("bump", 1.2069003224378762), ("ind13", 1.5)):
-            f = get_function(name)
             for kappa in (0.37, 2.7):
                 for lam in (0.0, 7.5, 120.0):
-                    err = abs(kummer_transform(f, kappa, lam)
+                    err = abs(kummer_transform(get_function(name), kappa, lam)
                               - _quad_reference(name, kappa, lam))
-                    worst[name, kappa, lam] = err * math.gamma(kappa + 1.0) / l1
-    print(max(worst.items(), key=lambda kv: kv[1]))
-    closed = {key: e for key, e in worst.items() if len(key) == 2}
-    quad = {key: e for key, e in worst.items() if len(key) == 3}
+                    quad[name, kappa, lam] = err * math.gamma(kappa + 1.0) / l1
     assert max(closed.values()) <= 3.5e-15, closed
     assert max(quad.values()) <= 2e-15, quad
 
