@@ -20,9 +20,9 @@ serves the scalar and the vectorized entry points, in two regimes:
   1/(z+1-kappa - 1(1-kappa)/(z+3-kappa - 2(2-kappa)/(z+5-kappa - ...))),
   evaluated backward. It converges uniformly in kappa away from the negative
   real axis, in about C / |z| steps (Gil, Segura and Temme, Numerical Methods
-  for Special Functions, ch. 6), so each evaluation starts at the depth that
-  its smallest |z| needs, _cf_depth, capped at 80. The array path walks its
-  points in chunks of 1024, each at the depth of its own smallest |z|.
+  for Special Functions, ch. 6), so each point starts at the depth that its
+  |z| needs, _cf_depth, capped at 80. An array runs one backward sweep over
+  its points sorted by |z|, each joining at its own depth (_cf_g_sorted).
 
 Domain: 0 <= kappa <= 170 (Gamma(kappa + 1) is finite), and z in the series
 disk or at |arg z| <= 2 pi / 3, which holds the whole imaginary axis. At
@@ -48,7 +48,6 @@ from .rootgeom import OrthogonalSubsystem, RationalVector
 
 MAX_ARG = 2.0 * math.pi / 3.0
 _CF_DEPTH = 80  # the deepest start of the continued fraction
-_CF_CHUNK = 1024  # array points per continued-fraction evaluation
 # e^x is finite up to x = log(largest double), about 709.78
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -95,7 +94,7 @@ def _series_nonbold(kappa: float, z):
     return acc
 
 
-def _cf_depth(kappa: float, r: float) -> int:
+def _cf_depth(kappa: float, r):
     """Depth from which the fraction has converged wherever |z| >= r.
 
     From this depth on, the backward evaluation agrees with one started at
@@ -104,8 +103,12 @@ def _cf_depth(kappa: float, r: float) -> int:
     random points of it, 3 + (470 + 64 kappa) / |z| covered the measured
     depth; the constants below add a margin. Next to |z| = 4 off the axis,
     80 steps fall short of 2^-53 and the cap keeps them at 80, as before.
+    An array r gives an array of depths, each by the same rule.
     """
-    return min(_CF_DEPTH, 8 + math.ceil((480.0 + 64.0 * kappa) / r))
+    steps = (480.0 + 64.0 * kappa) / r
+    if isinstance(steps, np.ndarray):
+        return np.minimum(_CF_DEPTH, 8 + np.ceil(steps).astype(int))
+    return min(_CF_DEPTH, 8 + math.ceil(steps))
 
 
 def _cf_g(kappa: float, z, depth: int):
@@ -117,21 +120,59 @@ def _cf_g(kappa: float, z, depth: int):
     return 1.0 / (w - t)
 
 
+def _cf_g_sorted(kappa: float, z: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """_cf_g(kappa, z[i], depth[i]) for every i, in one backward sweep.
+
+    depth must never increase along z, so the points that run step j are a
+    prefix. A point joins at its own depth with t = 0, as _cf_g starts it,
+    and every step repeats _cf_g's operations, so each value keeps its bits.
+    """
+    w = z + (1.0 - kappa)
+    t = np.zeros_like(w)
+    d = np.empty_like(w)
+    # per step j, from the deepest down: the points with depth >= j, and 2 j
+    # and j (j - kappa) as complex scalars. Most steps touch few points, so
+    # the per-call cost of numpy sets the pace: the scalars are converted
+    # once, and the outputs go in place, passed positionally.
+    js = np.arange(depth[0], 0, -1)
+    live = np.searchsorted(-depth, -js, side="right").tolist()
+    for n, shift, num in zip(live, (2 * js).astype(complex),
+                             (js * (js - kappa)).astype(complex)):
+        dn, tn = d[:n], t[:n]
+        np.add(w[:n], shift, dn)
+        np.subtract(dn, tn, dn)
+        np.divide(num, dn, tn)
+    return 1.0 / (w - t)
+
+
 def _cf_bold(kappa: float, z, exp, angle):
-    """bold M_kappa(z) from Legendre's continued fraction, kappa > 0."""
-    scalar = isinstance(z, complex)
+    """bold M_kappa(z) from Legendre's continued fraction, kappa > 0.
+
+    Every point runs the fraction from its own depth; an array is swept once
+    in the order of |z|.
+    """
     r = abs(z)
-    g = _cf_g(kappa, z, _cf_depth(kappa, r if scalar else r.min()))
+    if isinstance(z, complex):
+        g = _cf_g(kappa, z, _cf_depth(kappa, r))
+        top = z.real
+    else:
+        order = np.argsort(r, kind="stable")
+        g = np.empty_like(z)
+        g[order] = _cf_g_sorted(kappa, z[order], _cf_depth(kappa, r[order]))
+        top = z.real.max(initial=0.0)
     # e^z z^-kappa as the square of e^(z/2) |z|^(-kappa/2) e^(-i kappa arg z / 2):
     # neither factor underflows where the product does not, the modulus goes
     # through pow, and Im z never shares a rounded phase with kappa arg z.
     # Past Re z / 2 = _LOG_MAX, e^(z/2) alone overflows where the product
     # need not, so the excess s moves into the modulus; one scalar s serves a
-    # whole chunk. Below, s = 0 and every factor keeps its bits.
-    top = z.real if scalar else z.real.max(initial=0.0)
-    s = max(0.0, top / 2 - _LOG_MAX)
-    half = exp(z / 2 - s) * (r ** (-kappa / 2) * math.exp(s)
-                             * exp(-0.5j * kappa * angle(z)))
+    # whole array. Below that, as on the whole imaginary axis, there is no
+    # shift and every factor keeps its bits.
+    half_z = z / 2
+    modulus = r ** (-kappa / 2)
+    s = top / 2 - _LOG_MAX
+    if s > 0.0:
+        half_z, modulus = half_z - s, modulus * math.exp(s)
+    half = exp(half_z) * (modulus * exp(-0.5j * kappa * angle(z)))
     return half * half - g / math.gamma(kappa)
 
 
@@ -212,16 +253,18 @@ def bold_M_on_imaginary(kappa: float, y: np.ndarray) -> np.ndarray:
     """Vectorized kernel values bold M_kappa(i y) for a real array y."""
     _check_kappa(kappa)
     y = np.asarray(y, dtype=float)
+    finite = np.isfinite(y)
+    if not finite.all():
+        raise ValueError(f"y = {y[~finite][0]} is not finite")
     if kappa == 0:
         return np.exp(1j * y)
     out = np.empty(y.shape, dtype=complex)
     inside = np.abs(y) <= _series_radius(kappa)
     if inside.any():
         out[inside] = _series_nonbold(kappa, 1j * y[inside]) / gamma_plus_one(kappa)
-    far = np.flatnonzero(~inside)
-    for lo in range(0, far.size, _CF_CHUNK):
-        part = far[lo:lo + _CF_CHUNK]
-        out.flat[part] = _cf_bold(kappa, 1j * y.flat[part], np.exp, np.angle)
+    far = ~inside
+    if far.any():
+        out[far] = _cf_bold(kappa, 1j * y[far], np.exp, np.angle)
     return out
 
 

@@ -138,6 +138,13 @@ def _sliver_template(order: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return template
 
 
+def _cell_count(length: float, max_width: float | None) -> int:
+    """Equal cells of graded_panels on an interval of this length: at least
+    four, and none wider than max_width."""
+    width = length / 4.0 if max_width is None else min(max_width, length / 4.0)
+    return math.ceil(length / width)
+
+
 def graded_panels(a: float, b: float, order: int, max_width: float | None = None,
                   depth: int = 24) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss nodes and weights on [a, b], refined toward both ends.
@@ -156,8 +163,7 @@ def graded_panels(a: float, b: float, order: int, max_width: float | None = None
         raise ValueError("panel range must have positive length")
     nodes, weights = legendre_rule(order)
     t, tw = _sliver_template(order, depth)
-    width = length / 4.0 if max_width is None else min(max_width, length / 4.0)
-    edges = np.linspace(a, b, math.ceil(length / width) + 1)
+    edges = np.linspace(a, b, _cell_count(length, max_width) + 1)
     first, last = edges[1] - a, b - edges[-2]
     widths = np.diff(edges[1:-1])
     x = np.concatenate([a + first * t,

@@ -28,9 +28,13 @@ import numpy as np
 from .functions import TestFunction, get_function
 from .intertwine import dual_chi
 from .kummer import bold_M_on_imaginary, gamma_plus_one
-from .quadrature import graded_panels, legendre_rule
+from .quadrature import _cell_count, _store, graded_panels, legendre_rule
 
 _PANEL_ORDER = 24
+# meshes by (cuts, order, cells per piece): a mesh depends on lam only through
+# its cell counts, so one 64-point request builds a handful; read-only arrays
+_MESH_CACHE_SIZE = 8
+_meshes: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _support(f, bound: float | None) -> float:
@@ -45,9 +49,18 @@ def _panel_nodes(f, a: float, max_width: float, order: int = _PANEL_ORDER):
     # being analytic, so the mesh on [-a, a] is split at the corners of f and
     # each piece is refined geometrically toward both of its ends
     cuts = sorted({-a, a} | {float(c) for c in getattr(f, "corners", ()) if -a < c < a})
-    pieces = [graded_panels(lo, hi, order, max_width=min(max_width, a / 4.0))
-              for lo, hi in zip(cuts[:-1], cuts[1:])]
-    return tuple(np.concatenate(part) for part in zip(*pieces))
+    width = min(max_width, a / 4.0)
+    key = (tuple(cuts), order,
+           tuple(_cell_count(hi - lo, width) for lo, hi in zip(cuts[:-1], cuts[1:])))
+    mesh = _meshes.get(key)
+    if mesh is None:
+        pieces = [graded_panels(lo, hi, order, max_width=width)
+                  for lo, hi in zip(cuts[:-1], cuts[1:])]
+        mesh = tuple(np.concatenate(part) for part in zip(*pieces))
+        for part in mesh:
+            part.flags.writeable = False
+        mesh = _store(_meshes, key, mesh, _MESH_CACHE_SIZE)
+    return mesh
 
 
 def _panel_width(lam: float) -> float:
@@ -57,6 +70,8 @@ def _panel_width(lam: float) -> float:
 
 def kummer_transform(f, kappa: float, lam: float, bound: float | None = None) -> complex:
     """F_kappa(f)(lam) over the (finite) support of f."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lam = {lam} is not finite")
     a = _support(f, bound)
     value = f.value if hasattr(f, "value") else f
     x, w = _panel_nodes(f, a, _panel_width(lam))
@@ -183,6 +198,9 @@ class TransformRequest:
         start, stop, count = self.grid
         if count < 1:
             raise ValueError("grid needs at least one point")
+        for name, end in (("start", start), ("stop", stop)):
+            if not math.isfinite(end):
+                raise ValueError(f"grid {name} = {end} is not finite")
         return np.linspace(start, stop, int(count))
 
     def run(self) -> str:

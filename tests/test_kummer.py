@@ -30,6 +30,7 @@ from projdunkl.kummer import (
     _cf_bold,
     _cf_depth,
     _cf_g,
+    _cf_g_sorted,
     _series_nonbold,
     gamma_plus_one,
 )
@@ -112,9 +113,9 @@ def test_vectorized_kernel_matches_scalar_across_regimes():
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
     assert bold_M_on_imaginary(0.0, np.array([2.0]))[0] == pytest.approx(
         np.exp(2j), rel=1e-15)
-    # the array path runs each chunk of the fraction at the depth of its
-    # smallest |z|: shuffled, every chunk holds |z| next to the regime switch
-    # and out to 1000, and each point still matches its own scalar depth
+    # the array path runs each point of the fraction at its own depth, in one
+    # sweep sorted by |z|: shuffled, |z| from the regime switch out to 1000
+    # interleave, and each point still matches its own scalar call
     rng = np.random.default_rng(7)
     for kappa in (0.013, 0.37, 2.7, 80.5):
         ys = np.geomspace(1.001 * max(4.0, kappa), 1000.0, 1500)
@@ -123,6 +124,48 @@ def test_vectorized_kernel_matches_scalar_across_regimes():
         got = bold_M_on_imaginary(kappa, ys)
         want = np.array([bold_M(kappa, 1j * y) for y in ys])
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-15, kappa
+
+
+def test_fraction_sweep_keeps_the_bits_of_one_depth_per_array():
+    # each far point runs the fraction from its own depth; the values are
+    # those of the whole array started at the depth of its smallest |z|, and
+    # of the point called alone
+    def one_depth(kappa, y):
+        z = 1j * y
+        r = np.abs(z)
+        g = _cf_g(kappa, z, _cf_depth(kappa, r.min()))
+        half = np.exp(z / 2) * (r ** (-kappa / 2) * np.exp(-0.5j * kappa * np.angle(z)))
+        return half * half - g / math.gamma(kappa)
+
+    rng = np.random.default_rng(11)
+    for kappa in (0.001, 0.013, 0.37, 2.7, 80.5, 170.0):
+        ys = np.geomspace(np.nextafter(max(4.0, kappa), np.inf), 1000.0, 300)
+        ys = np.concatenate([ys, -ys])
+        rng.shuffle(ys)
+        got = bold_M_on_imaginary(kappa, ys)
+        assert np.array_equal(got, one_depth(kappa, ys)), kappa
+        alone = np.array([bold_M_on_imaginary(kappa, ys[i:i + 1])[0]
+                          for i in range(ys.size)])
+        assert np.array_equal(got, alone), kappa
+
+
+def test_fraction_sweep_runs_each_point_from_its_own_depth():
+    # at depths short of convergence each start gives other bits, so every
+    # point must join the sweep exactly at its own depth
+    rng = np.random.default_rng(5)
+    for kappa in (0.013, 0.37, 2.7):
+        z = 1j * np.sort(rng.uniform(4.0, 60.0, 200) * rng.choice([-1.0, 1.0], 200))
+        z = z[np.argsort(np.abs(z), kind="stable")]
+        depth = np.sort(rng.integers(1, 30, z.size))[::-1]
+        want = np.array([_cf_g(kappa, z[i:i + 1], int(d))[0] for i, d in enumerate(depth)])
+        assert np.array_equal(_cf_g_sorted(kappa, z, depth), want), kappa
+
+
+def test_vectorized_kernel_rejects_non_finite_input():
+    for kappa in (0.0, 0.37):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"y = {bad} is not finite"):
+                bold_M_on_imaginary(kappa, [1.0, bad, 100.0])
 
 
 def test_series_stops_early_with_the_same_bits():
@@ -197,6 +240,7 @@ def test_cf_depth_rule_covers_domain():
         off = np.abs(_cf_g(kap, z, d) - ref) > 2.0 ** -53 * np.abs(ref)
         converged[off] = d + 1
     depth = np.array([_cf_depth(k, abs(v)) for k, v in zip(kap, z)])
+    assert np.array_equal(_cf_depth(kap, np.abs(z)), depth)  # the array form
     short = np.flatnonzero(depth < np.minimum(converged, _CF_DEPTH))
     assert short.size == 0, [(kap[i], z[i], depth[i], converged[i]) for i in short[:5]]
     assert depth.max() == _CF_DEPTH and depth.min() < 10

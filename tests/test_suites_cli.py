@@ -165,6 +165,9 @@ def test_cli_bad_inputs_return_error(capsys):
     assert main(["transform", "--function", "bump", "--kappa", "0",
                  "--grid", "0:1"]) == 1
     assert "start:stop:count" in capsys.readouterr().err
+    assert main(["transform", "--function", "bump", "--kappa", "0",
+                 "--grid", "0:nan:3"]) == 1
+    assert capsys.readouterr().err == "error: grid stop = nan is not finite\n"
     assert main(["eval", "T", "--poly", "x1^^2", "--kappa", "0"]) == 1
     assert capsys.readouterr().err.startswith("error:")
     # next to the negative real axis the kernel refuses instead of guessing

@@ -203,8 +203,56 @@ def test_transform_node_budget(monkeypatch, lam):
     monkeypatch.setattr(transform, "graded_panels", panels)
     for name, budget in NODE_BUDGET[lam].items():
         sizes.clear()
+        # a private, empty mesh table, so each call builds its mesh
+        monkeypatch.setattr(transform, "_meshes", {})
         kummer_transform(get_function(name), 0.37, lam)
         assert 0 < sum(sizes) <= budget, (name, sum(sizes))
+
+
+def test_transform_grid_builds_one_mesh_per_cell_count(monkeypatch):
+    # below lam = 16 pi every bump panel is a/4 wide, so the grid's 64
+    # transforms share one mesh
+    calls = []
+
+    def panels(*args, **kwargs):
+        calls.append(args)
+        return quadrature.graded_panels(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "graded_panels", panels)
+    monkeypatch.setattr(transform, "_meshes", {})
+    transform_grid(get_function("bump"), 0.37, np.linspace(0.0, 40.0, 64))
+    assert len(calls) == 1
+
+
+def test_mesh_table_stays_bounded_and_read_only(monkeypatch):
+    # every kept mesh is the one a fresh build gives, whatever filled the
+    # table before; a caller cannot write into a kept mesh
+    monkeypatch.setattr(transform, "_meshes", {})
+    for name in ("bump", "gaussian", "ind13"):
+        f = get_function(name)
+        for lam in np.linspace(0.0, 300.0, 41):
+            width = transform._panel_width(lam)
+            x, w = transform._panel_nodes(f, f.support_bound, width)
+            assert len(transform._meshes) <= transform._MESH_CACHE_SIZE
+            assert not x.flags.writeable and not w.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
+            kept = dict(transform._meshes)
+            monkeypatch.setattr(transform, "_meshes", {})
+            fresh = transform._panel_nodes(f, f.support_bound, width)
+            assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
+            monkeypatch.setattr(transform, "_meshes", kept)
+
+
+def test_transform_rejects_non_finite_lambda():
+    bump = get_function("bump")
+    for lam in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"lam = {lam} is not finite"):
+            kummer_transform(bump, 0.37, lam)
+    with pytest.raises(ValueError, match="grid stop = nan is not finite"):
+        TransformRequest("bump", 0.37, (0.0, math.nan, 3)).lambdas
+    with pytest.raises(ValueError, match="grid start = -inf is not finite"):
+        TransformRequest("bump", 0.37, (-math.inf, 1.0, 3)).run()
 
 
 @pytest.mark.parametrize("name", ["ind13", "bump"])
