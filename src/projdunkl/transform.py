@@ -49,13 +49,12 @@ def _panel_nodes(f, a: float, max_width: float, order: int = _PANEL_ORDER):
     # being analytic, so the mesh on [-a, a] is split at the corners of f and
     # each piece is refined geometrically toward both of its ends
     cuts = sorted({-a, a} | {float(c) for c in getattr(f, "corners", ()) if -a < c < a})
+    spans = list(zip(cuts[:-1], cuts[1:]))
     width = min(max_width, a / 4.0)
-    key = (tuple(cuts), order,
-           tuple(_cell_count(hi - lo, width) for lo, hi in zip(cuts[:-1], cuts[1:])))
+    key = (tuple(cuts), order, tuple(_cell_count(hi - lo, width) for lo, hi in spans))
     mesh = _meshes.get(key)
     if mesh is None:
-        pieces = [graded_panels(lo, hi, order, max_width=width)
-                  for lo, hi in zip(cuts[:-1], cuts[1:])]
+        pieces = [graded_panels(lo, hi, order, max_width=width) for lo, hi in spans]
         mesh = tuple(np.concatenate(part) for part in zip(*pieces))
         for part in mesh:
             part.flags.writeable = False
