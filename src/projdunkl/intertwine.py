@@ -24,7 +24,7 @@ import numpy as np
 
 from .gammaratio import GammaRatio
 from .polycore import MPoly, _map_root_blocks, _substitute
-from .quadrature import get_rule, graded_panels
+from .quadrature import _unit_panels, get_rule, graded_panels
 from .rootgeom import OrthogonalSubsystem, RationalVector, _as_fraction
 
 
@@ -373,7 +373,8 @@ def dual_chi(kappa: float, g, x: float, support_bound: float | None = None,
     zero for |x| >= A. In the shifted variable u = t - |x| the endpoint weight
     u^(kappa-1) is absorbed on a head interval by the substitution u = h v^2;
     the rest is integrated on panels split at the corner points advertised by
-    g and geometrically refined toward the segment ends.
+    g and geometrically refined toward the segment ends: one cached unit
+    mesh, graded_panels(0, 1, order), mapped onto each segment.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -404,9 +405,10 @@ def dual_chi(kappa: float, g, x: float, support_bound: float | None = None,
     total = 2.0 * h ** kappa * float(
         np.dot(head_rule.weights, smooth(h * head_rule.nodes**2)))
     pts = [h] + [c for c in cuts if c > h * (1.0 + 1e-12)]
+    unit_x, unit_w = _unit_panels(order)
     for lo, hi in zip(pts[:-1], pts[1:]):
-        xs, ws = graded_panels(lo, hi, order)
-        total += float(np.dot(ws, xs ** (kappa - 1.0) * smooth(xs)))
+        xs = lo + (hi - lo) * unit_x
+        total += float(np.dot((hi - lo) * unit_w, xs ** (kappa - 1.0) * smooth(xs)))
     return total / math.gamma(kappa)
 
 

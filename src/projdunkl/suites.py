@@ -594,7 +594,7 @@ def suite_transform(cfg: SuiteConfig) -> list[CheckRecord]:
     def factorization():
         report = factorization_check(bump, 0.5, [0.5, 2.0],
                                      dual_kappa=0.55 if faulted else None)
-        if report.max_diff > 1e-7:
+        if report.max_diff > 1e-10:
             return f"factorization gap {report.max_diff:.3e}"
         return None
 

@@ -197,9 +197,9 @@ def test_criterion_6_transform_bounds():
     for kap in (0.5, 2.0):
         rep = factorization_check(bump, kap, [0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
         worst_fact = max(worst_fact, rep.max_diff)
-    _verdict("transform-bounds", ok_sup and worst_fact < 1e-7,
+    _verdict("transform-bounds", ok_sup and worst_fact < 1e-10,
              f"sup-norm bound holds (min margin {worst_margin:.2e}); "
-             f"factorization max diff {worst_fact:.2e} (tol 1e-07)",
+             f"factorization max diff {worst_fact:.2e} (tol 1e-10)",
              time.monotonic() - t0, 60.0)
 
 

@@ -33,6 +33,7 @@ from projdunkl import (
     laplacian_direct,
     rho_poly,
 )
+from projdunkl import quadrature
 from projdunkl.functions import get_function
 from projdunkl.gammaratio import GammaRatio
 from projdunkl.kummer import bold_M_derivative
@@ -389,6 +390,82 @@ def test_dual_chi_negative_side_symmetry():
     # even g makes the adjoint map even
     g = get_function("bump")
     assert dual_chi(0.5, g, -0.4) == pytest.approx(dual_chi(0.5, g, 0.4), rel=1e-13)
+
+
+def _dual_chi_mesh_per_call(kappa, g, x, order=32):
+    """dual_chi as it read with one graded_panels build per segment."""
+    bound = g.support_bound
+    ax, sgn = abs(x), math.copysign(1.0, x)
+
+    def smooth(u):
+        return (u + ax) ** (-kappa) * np.asarray(g.value(sgn * (u + ax)))
+
+    span = bound - ax
+    cuts = sorted({span} | {sgn * c - ax for c in g.corners if 0.0 < sgn * c - ax < span})
+    h = min(ax, cuts[0])
+    head = quadrature.get_rule(1, 2 * order, beta=2.0 * kappa - 1.0)
+    total = 2.0 * h ** kappa * float(np.dot(head.weights, smooth(h * head.nodes ** 2)))
+    pts = [h] + [c for c in cuts if c > h * (1.0 + 1e-12)]
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        xs, ws = quadrature.graded_panels(lo, hi, order)
+        total += float(np.dot(ws, xs ** (kappa - 1.0) * smooth(xs)))
+    return total / math.gamma(kappa)
+
+
+@pytest.mark.parametrize("name", ["bump", "ind13"])
+def test_dual_chi_unit_mesh_matches_mesh_per_call(name):
+    # the cached unit mesh mapped onto each segment is the per-segment build
+    # up to rounding in the affine map
+    g = get_function(name)
+    rng = np.random.default_rng(14)
+    xs = np.exp(rng.uniform(math.log(1e-6), math.log(0.99), 200))
+    xs *= rng.choice([-1.0, 1.0], 200)
+    if name == "ind13":
+        xs = np.abs(xs) * 3.0
+    worst = 0.0
+    for kappa in (0.37, 0.5, 2.7):
+        for x in xs:
+            want = _dual_chi_mesh_per_call(kappa, g, float(x))
+            got = dual_chi(kappa, g, float(x))
+            if want != 0.0:
+                worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-15
+
+
+def test_unit_mesh_table_bounded_and_read_only():
+    for order in range(1, quadrature._UNIT_CACHE_SIZE + 6):
+        x, w = quadrature._unit_panels(order)
+        want_x, want_w = quadrature.graded_panels(0.0, 1.0, order)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+        assert len(quadrature._units) <= quadrature._UNIT_CACHE_SIZE
+        assert quadrature._unit_panels(order) is quadrature._units[order]
+        for part in (x, w):
+            with pytest.raises(ValueError):
+                part[0] = 0.5
+
+
+@pytest.mark.parametrize("kappa", [0.37, 0.5, 1.3, 2.7])
+def test_dual_chi_leading_term_at_zero(kappa):
+    # near 0 the dual image of bump (f(0) = 1, support 1) is
+    # (log(1/s) - psi(kappa) - gamma + J) / Gamma(kappa) + O(s), with
+    # J = int_0^1 (f(t) - 1) / t dt taken from mpmath, not from the package
+    import mpmath as mp
+
+    g = get_function("bump")
+    with mp.workdps(30):
+        j = float(mp.quad(lambda t: (mp.exp(1 - 1 / (1 - t * t)) - 1) / t, [0, 0.5, 1]))
+    assert j == pytest.approx(-0.58678, abs=1e-5)
+    const = float(mp.digamma(kappa)) + float(mp.euler)
+    residuals = []
+    for s in (1e-3, 1e-4, 1e-5):
+        lead = (math.log(1.0 / s) - const + j) / math.gamma(kappa)
+        for x in (s, -s):
+            residual = abs(dual_chi(kappa, g, x) - lead)
+            assert residual <= 3.0 * s
+        residuals.append(residual)
+    # the remainder is O(s): ten times smaller per decade
+    for big, small in zip(residuals, residuals[1:]):
+        assert 5.0 < big / small < 20.0
 
 
 def test_duality_pairing_frozen_value():

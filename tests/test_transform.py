@@ -16,6 +16,7 @@ from projdunkl import (
     transform_grid,
 )
 from projdunkl import bold_M_on_imaginary, quadrature, transform
+from projdunkl import functions
 from projdunkl.functions import get_function
 
 # F_kappa(bump)(lam) from 50-digit adaptive integration of the series kernel
@@ -312,7 +313,7 @@ def test_sup_norm_bound(kappa):
 def test_factorization_through_dual_map():
     bump = get_function("bump")
     report = factorization_check(bump, 0.5, [0.5, 2.0])
-    assert report.max_diff < 1e-7
+    assert report.max_diff < 1e-10
     assert len(report.direct) == len(report.through_dual) == 2
 
 
@@ -322,6 +323,29 @@ def test_factorization_detects_wrong_dual_parameter():
     bump = get_function("bump")
     bad = factorization_check(bump, 0.5, [0.5, 2.0], dual_kappa=0.6)
     assert bad.max_diff > 1e-3
+
+
+@pytest.mark.parametrize("kappa", [0.37, 0.5, 1.3, 2.0, 2.7])
+def test_factorization_gate_over_domain(kappa):
+    bump = get_function("bump")
+    report = factorization_check(bump, kappa, [0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
+    assert report.max_diff < 1e-10
+
+
+def test_factorization_core_remainder_is_second_order():
+    # with the core in closed form what is left is O(xmin^2): a decade of
+    # xmin takes about two decades off the gap
+    bump = get_function("bump")
+    coarse = factorization_check(bump, 0.5, [0.5, 2.0], xmin=1e-4).max_diff
+    fine = factorization_check(bump, 0.5, [0.5, 2.0], xmin=1e-5).max_diff
+    assert 50.0 <= coarse / fine <= 200.0
+
+
+def test_factorization_rejects_corner_at_zero():
+    tent = functions.TestFunction("tent", 1, lambda x: np.maximum(0.0, 1.0 - np.abs(x)),
+                                  lambda x: -np.sign(x), 1.0, corners=(-1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="corner at 0"):
+        factorization_check(tent, 0.5, [1.0])
 
 
 def test_factorization_xmin_validation():
