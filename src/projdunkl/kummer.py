@@ -7,6 +7,8 @@ Two normalizations of the same series appear throughout:
                     = sum_n z^n / Gamma(kappa + 1 + n)
 
 bold M is the transform kernel; M is the rank-one eigenfunction normalization.
+Over any orthogonal subsystem, the joint eigenfunction of every T_xi is a
+plane wave times one rank-one factor M per root (MultivarEigenfunction).
 At kappa = 0 both collapse to exp(z), for every z. Otherwise one evaluator
 serves the scalar and the vectorized entry points, in two regimes:
 
@@ -44,7 +46,7 @@ import numpy as np
 
 from .functions import TestFunction
 from .opengine import one_var_T_squared
-from .rootgeom import OrthogonalSubsystem, RationalVector
+from .rootgeom import OrthogonalSubsystem
 
 MAX_ARG = 2.0 * math.pi / 3.0
 _CF_DEPTH = 80  # the deepest start of the continued fraction
@@ -295,128 +297,53 @@ def generalized_ode_residual(kappa: float, lam: float, x: float) -> float:
 
 # ---- multivariate eigenfunctions ------------------------------------------------
 
-def _detect_variant(subsystem: OrthogonalSubsystem) -> str:
-    n = subsystem.dim
-    roots = subsystem.roots
-
-    def is_unit(v: RationalVector, j: int) -> bool:
-        return all(v[i] == (1 if i == j else 0) for i in range(n))
-
-    def is_pair(v: RationalVector, j: int, sign: int) -> bool:
-        return all(
-            v[i] == (1 if i == 2 * j else (sign if i == 2 * j + 1 else 0))
-            for i in range(n))
-
-    if len(roots) == n and all(is_unit(r, j) for j, r in enumerate(roots)):
-        return "direct"
-    p = n // 2
-    if len(roots) == p and all(is_pair(r, j, -1) for j, r in enumerate(roots)):
-        return "A"
-    if len(roots) == 2 * p and all(
-            is_pair(r, j // 2, -1 if j % 2 == 0 else 1) for j, r in enumerate(roots)):
-        return "B"
-    raise ValueError("subsystem is not a recognized eigenfunction family "
-                     "(coordinate, difference-pair, or split-pair layout required)")
-
-
 @dataclass
 class MultivarEigenfunction:
-    """Joint eigenfunction: T_xi E = i <lam, xi> E for every direction xi."""
+    """Joint eigenfunction: T_xi E = i <lam, xi> E for every direction xi.
+
+    The roots are pairwise orthogonal, so each tau_j moves only the alpha_j
+    component of x and E factors into a plane wave and one rank-one kernel
+    per root. With c_j = <lam, alpha_j> / |alpha_j|^2 and
+    P lam = lam - sum_j c_j alpha_j,
+
+        E(x) = exp(i <P lam, x>) prod_j M_kappa_j(i c_j <x, alpha_j>).
+    """
 
     subsystem: OrthogonalSubsystem
     lam: tuple
-    variant: str
 
     def __post_init__(self):
         if len(self.lam) != self.subsystem.dim:
             raise ValueError("one spectral coordinate per dimension required")
         self.lam = tuple(float(v) for v in self.lam)
+        for i, v in enumerate(self.lam):
+            if not math.isfinite(v):
+                raise ValueError(f"lam[{i}] = {v} is not finite")
+        roots = self.subsystem.roots
+        self._alphas = np.array([a.to_floats() for a in roots],
+                                dtype=float).reshape(len(roots), self.subsystem.dim)
+        self._kappas = [float(k) for k in self.subsystem.kappas]
+        lam = np.array(self.lam)
+        self._c = self._alphas @ lam / np.einsum("ij,ij->i", self._alphas, self._alphas)
+        self._p_lam = lam - self._c @ self._alphas
 
-    # factor tables -----------------------------------------------------------
-    def _factors(self, x):
-        """Per-factor kernel values and derivatives at x, plus the phase."""
-        n = self.subsystem.dim
-        lam = self.lam
-        kap = [float(k) for k in self.subsystem.kappas]
-        if self.variant == "direct":
-            z = [1j * lam[j] * x[j] for j in range(n)]
-            vals = [kummer_M(kap[j], z[j]) for j in range(n)]
-            ders = [gamma_plus_one(kap[j]) * bold_M_derivative(kap[j], z[j], 1)
-                    for j in range(n)]
-            return vals, ders, 0.0
-        p = n // 2
-        if self.variant == "A":
-            phase = sum((lam[2 * j] + lam[2 * j + 1]) * (x[2 * j] + x[2 * j + 1]) / 2.0
-                        for j in range(p))
-            if n % 2:
-                phase += lam[n - 1] * x[n - 1]
-            z = [0.5j * (lam[2 * j] - lam[2 * j + 1]) * (x[2 * j] - x[2 * j + 1])
-                 for j in range(p)]
-            vals = [kummer_M(kap[j], z[j]) for j in range(p)]
-            ders = [gamma_plus_one(kap[j]) * bold_M_derivative(kap[j], z[j], 1)
-                    for j in range(p)]
-            return vals, ders, phase
-        # B: factors alternate (minus, plus) per pair
-        phase = lam[n - 1] * x[n - 1] if n % 2 else 0.0
-        vals, ders = [], []
-        for j in range(p):
-            zm = 0.5j * (lam[2 * j] - lam[2 * j + 1]) * (x[2 * j] - x[2 * j + 1])
-            zp = 0.5j * (lam[2 * j] + lam[2 * j + 1]) * (x[2 * j] + x[2 * j + 1])
-            km, kp = kap[2 * j], kap[2 * j + 1]
-            vals.extend([kummer_M(km, zm), kummer_M(kp, zp)])
-            ders.extend([gamma_plus_one(km) * bold_M_derivative(km, zm, 1),
-                         gamma_plus_one(kp) * bold_M_derivative(kp, zp, 1)])
-        return vals, ders, phase
+    def _wave_and_args(self, x):
+        """exp(i <P lam, x>) and the kernel arguments i c_j <x, alpha_j>."""
+        x = np.asarray(x, dtype=float)
+        wave = cmath.exp(1j * float(self._p_lam @ x))
+        return wave, (1j * (self._c * (self._alphas @ x))).tolist()
 
     def value(self, x) -> complex:
-        x = np.asarray(x, dtype=float)
-        vals, _, phase = self._factors(x)
-        return complex(np.exp(1j * phase) * math.prod(vals) if vals else np.exp(1j * phase))
+        wave, z = self._wave_and_args(x)
+        return wave * math.prod(kummer_M(k, zj) for k, zj in zip(self._kappas, z))
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = self.subsystem.dim
-        lam = self.lam
-        vals, ders, phase = self._factors(x)
-        ph = np.exp(1j * phase)
-        total = math.prod(vals) if vals else 1.0
-
-        def prod_except(items, j):
-            out = 1.0 + 0.0j
-            for k, v in enumerate(items):
-                if k != j:
-                    out *= v
-            return out
-
-        grad = np.zeros(n, dtype=complex)
-        if self.variant == "direct":
-            for j in range(n):
-                grad[j] = ph * 1j * lam[j] * ders[j] * prod_except(vals, j)
-            return grad
-        p = n // 2
-        if self.variant == "A":
-            for j in range(p):
-                half_sum = 0.5j * (lam[2 * j] + lam[2 * j + 1])
-                half_diff = 0.5j * (lam[2 * j] - lam[2 * j + 1])
-                rest = prod_except(vals, j)
-                grad[2 * j] = half_sum * ph * total + ph * half_diff * ders[j] * rest
-                grad[2 * j + 1] = half_sum * ph * total - ph * half_diff * ders[j] * rest
-            if n % 2:
-                grad[n - 1] = 1j * lam[n - 1] * ph * total
-            return grad
-        for j in range(p):
-            half_diff = 0.5j * (lam[2 * j] - lam[2 * j + 1])
-            half_sum = 0.5j * (lam[2 * j] + lam[2 * j + 1])
-            minus_term = half_diff * ders[2 * j] * vals[2 * j + 1]
-            plus_term = half_sum * vals[2 * j] * ders[2 * j + 1]
-            rest = 1.0 + 0.0j  # product over the other pairs
-            for k in range(p):
-                if k != j:
-                    rest *= vals[2 * k] * vals[2 * k + 1]
-            grad[2 * j] = ph * rest * (minus_term + plus_term)
-            grad[2 * j + 1] = ph * rest * (-minus_term + plus_term)
-        if n % 2:
-            grad[n - 1] = 1j * lam[n - 1] * ph * total
+        wave, z = self._wave_and_args(x)
+        vals = [kummer_M(k, zj) for k, zj in zip(self._kappas, z)]
+        grad = 1j * self._p_lam * (wave * math.prod(vals))
+        for j, (k, zj) in enumerate(zip(self._kappas, z)):
+            rest = math.prod(vals[:j] + vals[j + 1:])
+            grad += (1j * self._c[j] * kummer_M_derivative(k, zj) * rest * wave) * self._alphas[j]
         return grad
 
     def eigenvalue(self, xi) -> complex:
@@ -425,13 +352,10 @@ class MultivarEigenfunction:
         return 1j * sum(float(l) * float(c) for l, c in zip(self.lam, coords))
 
 
-def eigen_multivar(subsystem: OrthogonalSubsystem, lam: Sequence[float],
-                   variant: str | None = None) -> MultivarEigenfunction:
-    """Build the joint eigenfunction for a recognized subsystem layout."""
-    detected = _detect_variant(subsystem)
-    if variant is not None and variant != detected:
-        raise ValueError(f"subsystem layout is {detected!r}, not {variant!r}")
-    return MultivarEigenfunction(subsystem, tuple(lam), detected)
+def eigen_multivar(subsystem: OrthogonalSubsystem,
+                   lam: Sequence[float]) -> MultivarEigenfunction:
+    """Build the joint eigenfunction of any orthogonal subsystem."""
+    return MultivarEigenfunction(subsystem, tuple(lam))
 
 
 # ---- grid export -----------------------------------------------------------------

@@ -36,6 +36,8 @@ from .rootgeom import (
 
 # Relative threshold below which <x, alpha> counts as "on the wall".
 HYPERPLANE_GUARD = 1e-8
+# Below this |x| the one-variable operators take their x = 0 limits.
+ZERO_TOL = 1e-10
 
 
 # Bounded far above the working set of a few multiplicity-free block shapes
@@ -87,12 +89,11 @@ def apply_T_poly_decomposed(subsystem: OrthogonalSubsystem, xi: RationalVector, 
     return out
 
 
-def apply_T_numeric(subsystem: OrthogonalSubsystem, xi: RationalVector, f, x,
-                    guard: float = HYPERPLANE_GUARD):
+def apply_T_numeric(subsystem: OrthogonalSubsystem, xi: RationalVector, f, x):
     """T_xi f at a point, for any f exposing value(x) and gradient(x).
 
-    Within a relative distance `guard` of a wall the divided difference is
-    replaced by its limit <grad f(tau x), alpha> / |alpha|^2.
+    Within a relative distance HYPERPLANE_GUARD of a wall the divided
+    difference is replaced by its limit <grad f(tau x), alpha> / |alpha|^2.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (subsystem.dim,):
@@ -113,7 +114,7 @@ def apply_T_numeric(subsystem: OrthogonalSubsystem, xi: RationalVector, f, x,
         norm_sq = float(np.dot(a, a))
         c = float(np.dot(x, a))
         tau_x = x - (c / norm_sq) * a
-        if c == 0.0 or abs(c) < guard * xnorm * np.sqrt(norm_sq):
+        if c == 0.0 or abs(c) < HYPERPLANE_GUARD * xnorm * np.sqrt(norm_sq):
             q = np.dot(np.asarray(f.gradient(tau_x)), a) / norm_sq
         else:
             if fx is None:
@@ -137,8 +138,8 @@ class ProjectionDunklOperator:
     def apply_poly(self, p: MPoly) -> MPoly:
         return apply_T_poly(self.subsystem, self.xi, p)
 
-    def apply_numeric(self, f, x, guard: float = HYPERPLANE_GUARD):
-        return apply_T_numeric(self.subsystem, self.xi, f, x, guard)
+    def apply_numeric(self, f, x):
+        return apply_T_numeric(self.subsystem, self.xi, f, x)
 
     def decompose(self) -> XiDecomposition:
         return decompose_xi(self.subsystem, self.xi)
@@ -163,14 +164,14 @@ def one_var_T_poly(kappa, p: MPoly) -> MPoly:
     return MPoly(1, {(n - 1,): c * (n + kappa) for (n,), c in p.terms.items() if n})
 
 
-def one_var_T(kappa: float, f, x: float, zero_tol: float = 1e-10):
+def one_var_T(kappa: float, f, x: float):
     """f'(x) + kappa (f(x) - f(0)) / x, with the x=0 limit (1 + kappa) f'(0)."""
-    if abs(x) < zero_tol:
+    if abs(x) < ZERO_TOL:
         return (1.0 + kappa) * f.derivative(0.0)
     return f.derivative(x) + kappa * (f.value(x) - f.value(0.0)) / x
 
 
-def one_var_T_squared(kappa: float, f, x: float, zero_tol: float = 1e-10):
+def one_var_T_squared(kappa: float, f, x: float):
     """Second power of the one-variable operator, in closed form.
 
     T^2 f = f'' + (2 kappa / x) f' + kappa (kappa - 1)(f - f(0)) / x^2
@@ -179,7 +180,7 @@ def one_var_T_squared(kappa: float, f, x: float, zero_tol: float = 1e-10):
     """
     if f.second_derivative is None:
         raise ValueError(f"{getattr(f, 'name', f)} carries no second derivative")
-    if abs(x) < zero_tol:
+    if abs(x) < ZERO_TOL:
         return f.second_derivative(0.0) * (kappa + 1.0) * (kappa + 2.0) / 2.0
     f0 = f.value(0.0)
     d0 = f.derivative(0.0)

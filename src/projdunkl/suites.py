@@ -503,6 +503,9 @@ def _eigen_families() -> list[tuple[str, OrthogonalSubsystem]]:
         ("pairs-4", build_subsystem_A(4, [Fraction(1, 2), Fraction(2)])),
         ("split-2", build_subsystem_B(2, [Fraction(1, 2)], [Fraction(1)])),
         ("split-3", build_subsystem_B(3, [Fraction(3, 2)], [Fraction(1, 2)])),
+        # no layout of coordinate or paired roots: the general form alone
+        ("skew-3", OrthogonalSubsystem(3, [RationalVector((1, 2, 2)), RationalVector((2, 1, -2))],
+                                       [Fraction(3, 7), Fraction(5, 4)])),
     ]
 
 

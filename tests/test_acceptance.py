@@ -12,6 +12,7 @@ import numpy as np
 
 from projdunkl import (
     MPoly,
+    OrthogonalSubsystem,
     ProjectionDunklOperator,
     RationalVector,
     apply_T_numeric,
@@ -237,6 +238,9 @@ def test_criterion_8_multivar_eigenfunctions():
             families.append(build_subsystem_B(dim,
                                               [rng.choice(kap_pool) for _ in range(pairs)],
                                               [rng.choice(kap_pool) for _ in range(pairs)]))
+    # orthogonal roots in no coordinate or paired layout
+    families.append(OrthogonalSubsystem(3, [RationalVector((1, 2, 2)),
+                                            RationalVector((2, 1, -2))], [F(3, 7), F(5, 4)]))
     worst = 0.0
     origin_ok = True
     for sub in families:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from projdunkl import (
+    OrthogonalSubsystem,
     RationalVector,
     apply_T_numeric,
     bold_M,
@@ -339,7 +340,6 @@ def _residual(sub, efunc, xi, x):
 def test_eigen_multivar_difference_pairs():
     sub = build_subsystem_A(4, [F(1, 2), F(3, 2)])
     e = eigen_multivar(sub, [1.0, -0.5, 2.0, 0.7])
-    assert e.variant == "A"
     assert e.value([0.0, 0.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-15)
     xi = RationalVector.parse("(1, 2, -1, 1/2)")
     for x in ([0.3, -0.8, 1.1, 0.6], [1.0, 2.0, -0.4, 0.9]):
@@ -349,7 +349,6 @@ def test_eigen_multivar_difference_pairs():
 def test_eigen_multivar_split_pairs():
     sub = build_subsystem_B(2, [F(1, 2)], [F(2)])
     e = eigen_multivar(sub, [1.3, 0.4])
-    assert e.variant == "B"
     assert e.value([0.0, 0.0]) == pytest.approx(1.0, rel=1e-15)
     xi = RationalVector.parse("(1, -3)")
     for x in ([0.5, 0.2], [-1.1, 0.8], [2.0, -0.7]):
@@ -359,24 +358,78 @@ def test_eigen_multivar_split_pairs():
 def test_eigen_multivar_coordinate_layout():
     sub = build_subsystem_coordinate(3, [F(1, 2), F(1), F(3, 2)])
     e = eigen_multivar(sub, [0.9, -1.2, 2.0])
-    assert e.variant == "direct"
     assert e.value([0.0, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-15)
     xi = RationalVector.parse("(2, 1, -1)")
     for x in ([0.4, 0.7, -0.3], [1.5, -0.9, 0.6]):
         assert _residual(sub, e, xi, x) < 1e-10
 
 
-def test_eigen_multivar_variant_checks():
+def test_eigen_multivar_input_checks():
     sub = build_subsystem_A(2, [F(1, 2)])
     with pytest.raises(ValueError):
-        eigen_multivar(sub, [1.0, 2.0], variant="B")
-    with pytest.raises(ValueError):
         eigen_multivar(sub, [1.0])  # wrong spectral length
-    # an unrecognized layout is rejected
-    from projdunkl import OrthogonalSubsystem
-    odd = OrthogonalSubsystem(3, [RationalVector.parse("(1, 1, 1)")], [F(1, 2)])
-    with pytest.raises(ValueError):
-        eigen_multivar(odd, [1.0, 0.0, 0.0])
+    for lam, bad in (([math.nan, 1.0], 0), ([1.0, math.inf], 1)):
+        with pytest.raises(ValueError, match=rf"lam\[{bad}\]"):
+            eigen_multivar(sub, lam)
+
+
+SKEW_3 = OrthogonalSubsystem(3, [RationalVector((1, 2, 2)), RationalVector((2, 1, -2))],
+                             [F(3, 7), F(5, 4)])
+
+
+@pytest.mark.parametrize("sub", [
+    OrthogonalSubsystem(3, [RationalVector((1, 1, 1))], [F(1, 2)]),
+    SKEW_3,
+], ids=["diagonal-root", "skew-3"])
+def test_eigen_multivar_any_orthogonal_subsystem(sub):
+    # roots in no coordinate or paired layout
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        e = eigen_multivar(sub, rng.uniform(-2.0, 2.0, sub.dim))
+        assert e.value(np.zeros(sub.dim)) == 1.0
+        x = rng.uniform(-2.0, 2.0, sub.dim)
+        xi = rng.uniform(-2.0, 2.0, sub.dim)
+        assert _residual(sub, e, xi, x) < 1e-10
+
+
+def test_eigen_multivar_rank_one_factor():
+    # a single coordinate root is the rank-one eigenfunction itself
+    for kappa, lam in ((F(37, 100), 1.7), (F(5, 2), -3.0), (F(0), 0.8)):
+        e = eigen_multivar(build_subsystem_coordinate(1, [kappa]), [lam])
+        r = eigen_rank_one(float(kappa), lam)
+        for x in (-1.3, 0.0, 0.4, 2.2):
+            assert abs(e.value([x]) - r.value(x)) <= 1e-15 * abs(r.value(x))
+            assert abs(e.gradient([x])[0] - r.derivative(x)) <= 1e-14 * abs(lam)
+
+
+def test_eigen_multivar_root_scale_invariant():
+    # E depends on each root only through its line
+    doubled = OrthogonalSubsystem(3, [SKEW_3.roots[0].scale(2), SKEW_3.roots[1]],
+                                  SKEW_3.kappas)
+    lam = [0.9, -1.4, 0.6]
+    e, e2 = eigen_multivar(SKEW_3, lam), eigen_multivar(doubled, lam)
+    for x in ([0.3, -1.1, 0.7], [1.9, 0.2, -0.5]):
+        assert abs(e.value(x) - e2.value(x)) < 1e-15
+        assert np.abs(e.gradient(x) - e2.gradient(x)).max() < 1e-14
+
+
+def test_eigen_multivar_without_roots_is_a_plane_wave():
+    sub = OrthogonalSubsystem(3, [], [])
+    lam = np.array([0.9, -1.4, 0.6])
+    e = eigen_multivar(sub, lam)
+    for x in ([0.3, -1.1, 0.7], [0.0, 0.0, 0.0], [1.9, 0.2, -0.5]):
+        want = cmath.exp(1j * float(lam @ np.array(x)))
+        assert abs(e.value(x) - want) < 1e-15
+        assert np.abs(e.gradient(x) - 1j * lam * want).max() < 1e-15
+
+
+def test_eigen_multivar_gradient_central_differences():
+    e = eigen_multivar(SKEW_3, [1.3, -0.8, 1.7])
+    h = 1e-5
+    for x in ([0.3, -1.1, 0.7], [1.9, 0.2, -0.5], [-0.6, 1.4, 1.0]):
+        x = np.array(x)
+        fd = [(e.value(x + h * u) - e.value(x - h * u)) / (2 * h) for u in np.eye(3)]
+        assert np.abs(e.gradient(x) - np.array(fd)).max() < 1e-8
 
 
 def test_eigen_multivar_odd_trailing_coordinate():
