@@ -2,9 +2,12 @@
 
 A GammaRatio is coef * prod Gamma(a)^e over rational a. Reduction applies
 Gamma(z+1) = z Gamma(z) within each residue class mod 1 until every class
-carries a single base argument; integer-argument factors collapse into the
-rational coefficient. Two ratios are equal iff their reduced forms match,
-which makes the representation canonical regardless of construction order.
+carries a single base argument, its smallest; integer-argument factors
+collapse into the rational coefficient. That stored form depends on the
+arguments given (2/G(7/2) and 8/15/G(3/2) are one value) and is what str
+prints. Equality and hashing use the normal form, which rebases each class on
+its residue in (0, 1), so equal values compare and hash equal, and a rational
+ratio hashes as its Fraction.
 """
 from __future__ import annotations
 
@@ -18,10 +21,11 @@ def pochhammer(z: Fraction, k: int) -> Fraction:
     """(z)_k = z (z+1) ... (z+k-1), exact."""
     if k < 0:
         raise ValueError("negative Pochhammer length")
-    out = Fraction(1)
+    n, d = z.numerator, z.denominator
+    out = 1
     for j in range(k):
-        out *= z + j
-    return out
+        out *= n + j * d
+    return Fraction(out, d ** k)
 
 
 class GammaRatio:
@@ -31,32 +35,28 @@ class GammaRatio:
         """num/den are iterables of Gamma arguments; poles are rejected."""
         coef = _as_fraction(coef)
         exps: dict[Fraction, int] = {}
-        for arg in num:
-            a = _as_fraction(arg)
-            exps[a] = exps.get(a, 0) + 1
-        for arg in den:
-            a = _as_fraction(arg)
-            exps[a] = exps.get(a, 0) - 1
-        for a in exps:
-            if a.denominator == 1 and a <= 0:
-                raise ValueError(f"Gamma pole at argument {a}")
-        # group by residue class mod 1, rebase each class on its minimal argument
-        classes: dict[Fraction, list[tuple[Fraction, int]]] = {}
+        for args, sign in ((num, 1), (den, -1)):
+            for arg in args:
+                a = _as_fraction(arg)
+                exps[a] = exps.get(a, 0) + sign
+        # group by residue class mod 1, keyed (numerator mod d, d); positive
+        # integers collapse to factorials, every other class is rebased on its
+        # minimal argument
+        classes: dict[tuple[int, int], list[tuple[Fraction, int]]] = {}
         for a, e in exps.items():
-            if e:
-                classes.setdefault(a % 1, []).append((a, e))
+            n, d = a.numerator, a.denominator
+            if d == 1:
+                if n <= 0:
+                    raise ValueError(f"Gamma pole at argument {a}")
+                coef *= Fraction(math.factorial(n - 1)) ** e
+            elif e:
+                classes.setdefault((n % d, d), []).append((a, e))
         factors: dict[Fraction, int] = {}
-        for resid, members in classes.items():
-            if resid == 0:
-                # positive integers: collapse to factorials
-                for a, e in members:
-                    f = Fraction(math.factorial(int(a) - 1))
-                    coef *= f ** e
-                continue
-            base = min(a for a, _ in members)
+        for (_, d), members in classes.items():
+            base = min(members)[0]
             total = 0
             for a, e in members:
-                k = int(a - base)
+                k = (a.numerator - base.numerator) // d
                 if k:
                     coef *= pochhammer(base, k) ** e
                 total += e
@@ -91,40 +91,40 @@ class GammaRatio:
         return v
 
     # ---- algebra ----------------------------------------------------------
-    def __mul__(self, other) -> "GammaRatio":
-        if isinstance(other, GammaRatio):
-            num, den = [], []
-            for a, e in list(self.factors.items()) + list(other.factors.items()):
-                (num if e > 0 else den).extend([a] * abs(e))
-            return GammaRatio(self.coef * other.coef, num, den)
-        q = _as_fraction(other)
+    def _times(self, other, sign: int) -> "GammaRatio":
+        """self * other ** sign, sign = 1 or -1."""
+        if not isinstance(other, GammaRatio):
+            other = GammaRatio(other)
         num, den = [], []
-        for a, e in self.factors.items():
-            (num if e > 0 else den).extend([a] * abs(e))
-        return GammaRatio(self.coef * q, num, den)
+        for s, factors in ((1, self.factors), (sign, other.factors)):
+            for a, e in factors.items():
+                (num if s * e > 0 else den).extend([a] * abs(e))
+        return GammaRatio(self.coef * other.coef ** sign, num, den)
+
+    def __mul__(self, other) -> "GammaRatio":
+        return self._times(other, 1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GammaRatio":
-        if isinstance(other, GammaRatio):
-            if other.coef == 0:
-                raise ZeroDivisionError("division by zero GammaRatio")
-            num, den = [], []
-            for a, e in self.factors.items():
-                (num if e > 0 else den).extend([a] * abs(e))
-            for a, e in other.factors.items():
-                (den if e > 0 else num).extend([a] * abs(e))
-            return GammaRatio(self.coef / other.coef, num, den)
-        return self * (Fraction(1) / _as_fraction(other))
+        return self._times(other, -1)
+
+    def _normal(self) -> tuple:
+        """(coef, factors) with each class based at its residue r in (0, 1):
+        Gamma(r + k) = (r)_k Gamma(r), and Gamma(r) / (r + k)_(-k) for k < 0."""
+        coef = self.coef
+        for a, e in self.factors.items():
+            k = math.floor(a)
+            coef *= pochhammer(a - k, k) ** e if k >= 0 else pochhammer(a, -k) ** -e
+        return coef, tuple(sorted((a % 1, e) for a, e in self.factors.items()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coef == other
-        return (isinstance(other, GammaRatio)
-                and self.coef == other.coef and self.factors == other.factors)
+        return isinstance(other, GammaRatio) and self._normal() == other._normal()
 
     def __hash__(self):
-        return hash((self.coef, tuple(self.factors.items())))
+        return hash(self._normal()) if self.factors else hash(self.coef)
 
     def __str__(self) -> str:
         if not self.factors:

@@ -22,105 +22,72 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gammaratio import GammaRatio
-from .polycore import MPoly, _map_root_blocks, _substitute
+from .gammaratio import GammaRatio, pochhammer
+from .polycore import MPoly, _map_root_blocks, _substitute, poly_eval
 from .quadrature import _unit_panels, get_rule, graded_panels
-from .rootgeom import OrthogonalSubsystem, RationalVector, _as_fraction
+from .rootgeom import (OrthogonalSubsystem, RationalVector, _as_fraction,
+                       build_subsystem_coordinate)
 
 
-# ---- polynomials with Gamma-quotient coefficients ---------------------------
+# ---- polynomials times one Gamma quotient --------------------------------------
 
 class GPoly:
-    """Sparse polynomial whose coefficients are GammaRatio values.
+    """The polynomial scale * poly: rational coefficients times one GammaRatio.
 
-    Supports exactly what the diagonal maps below need: addition merges only
-    coefficients that share a Gamma factor structure.
+    Every exact image below has this shape. Two of them add when their scales
+    differ by a rational factor; equality compares values, also against a
+    plain MPoly.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("poly", "scale")
 
-    def __init__(self, nvars: int, terms: dict | None = None) -> None:
-        self.nvars = nvars
-        self.terms: dict[tuple[int, ...], GammaRatio] = {}
-        if terms:
-            for e, c in terms.items():
-                if not isinstance(c, GammaRatio):
-                    c = GammaRatio(c)
-                if c.coef != 0:
-                    self.terms[tuple(e)] = c
-
-    @classmethod
-    def from_mpoly(cls, p: MPoly) -> "GPoly":
-        return cls(p.nvars, {e: GammaRatio(c) for e, c in p.terms.items()})
+    def __init__(self, poly: MPoly, scale: GammaRatio) -> None:
+        self.poly = poly if scale.coef else MPoly.zero(poly.nvars)
+        self.scale = scale
 
     def __add__(self, other: "GPoly") -> "GPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                a = out[e]
-                if a.factors != c.factors:
-                    raise ValueError(
-                        f"cannot add unlike Gamma structures {a} and {c}")
-                s = GammaRatio(a.coef + c.coef) * GammaRatio(
-                    1, num=[b for b, k in a.factors.items() for _ in range(k) if k > 0],
-                    den=[b for b, k in a.factors.items() for _ in range(-k) if k < 0])
-                if s.coef == 0:
-                    out.pop(e)
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        q = GPoly(self.nvars)
-        q.terms = out
-        return q
-
-    def scale(self, g) -> "GPoly":
-        if not isinstance(g, GammaRatio):
-            g = GammaRatio(g)
-        out = GPoly(self.nvars)
-        if g.coef != 0:
-            out.terms = {e: c * g for e, c in self.terms.items()}
-        return out
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        if self.poly.is_zero():
+            return other
+        if other.poly.is_zero():
+            return self
+        ratio = other.scale / self.scale
+        if not ratio.is_rational():
+            raise ValueError(
+                f"cannot add unlike Gamma structures {self.scale} and {other.scale}")
+        return GPoly(self.poly + other.poly * ratio.as_fraction(), self.scale)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MPoly):
-            other = GPoly.from_mpoly(other)
-        return (isinstance(other, GPoly) and self.nvars == other.nvars
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+            other = _as_gpoly(other)
+        if not isinstance(other, GPoly):
+            return NotImplemented
+        if self.poly.is_zero() or other.poly.is_zero():
+            return self.poly == other.poly
+        ratio = other.scale / self.scale
+        return ratio.is_rational() and self.poly == other.poly * ratio.as_fraction()
 
     def eval_float(self, point: Sequence[float]) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            v = c.to_float()
-            for xi, k in zip(point, e):
-                if k:
-                    v *= float(xi) ** k
-            total += v
-        return total
+        return self.scale.to_float() * poly_eval(self.poly, [float(x) for x in point])
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
+        """[c*scale]*monomial per term, highest degree first."""
+        terms = self.poly.terms
         parts = []
-        for e in sorted(self.terms, key=MPoly._grlex_key):
-            c = self.terms[e]
+        for e in sorted(terms, key=MPoly._grlex_key):
             body = MPoly._monomial_text(e)
+            c = self.scale * terms[e]
             parts.append(f"[{c}]*{body}" if body else f"[{c}]")
-        return " + ".join(parts)
+        return " + ".join(parts) or "0"
 
     def __str__(self) -> str:
         return self.to_text()
 
     def __repr__(self) -> str:
-        return f"GPoly({self.nvars}, {self.to_text()!r})"
+        return f"GPoly({self.to_text()!r})"
+
+
+def _as_gpoly(p) -> GPoly:
+    return p if isinstance(p, GPoly) else GPoly(p, GammaRatio.one())
 
 
 # ---- the deformation map -----------------------------------------------------
@@ -222,28 +189,33 @@ def chi_poly_scaled(subsystem: OrthogonalSubsystem, p: MPoly) -> tuple[MPoly, Ga
 
 def chi_one_var(p: MPoly, kappa) -> GPoly:
     """Unscaled one-variable image: x^m -> m! / Gamma(kappa + m + 1) x^m."""
-    if p.nvars != 1:
-        raise ValueError("univariate polynomial required")
-    kappa = _as_fraction(kappa)
-    out = GPoly(1)
-    for (m,), c in p.terms.items():
-        out.terms[(m,)] = GammaRatio(c * math.factorial(m), den=[kappa + m + 1])
-    return out
+    return GPoly(*chi_poly_scaled(build_subsystem_coordinate(1, [kappa]), p))
 
 
 # ---- fractional integrals on monomials ----------------------------------------
 
-def _apply_diagonal(p, factor: Callable[[int], GammaRatio]) -> GPoly:
-    if p.nvars != 1:
+def _apply_diagonal(p, gamma: Fraction, factor: Callable[[int], GammaRatio],
+                    step: Callable[[int], Fraction]) -> GPoly:
+    """x^m -> factor(m) x^m, where factor(m + 1) = step(m) * factor(m).
+
+    The image is factor(m0) times a rational polynomial, m0 the lowest degree
+    present. Both maps below need gamma + m + 1 > 0 at every present degree,
+    which also keeps every step finite and nonzero.
+    """
+    p = _as_gpoly(p)
+    if p.poly.nvars != 1:
         raise ValueError("univariate polynomial required")
-    if isinstance(p, MPoly):
-        p = GPoly.from_mpoly(p)
-    out = GPoly(1)
-    for (m,), c in p.terms.items():
-        val = c * factor(m)
-        if val.coef != 0:
-            out.terms[(m,)] = val
-    return out
+    terms = p.poly.terms
+    if not terms:
+        return p
+    lo, hi = min(terms)[0], max(terms)[0]
+    if gamma + lo + 1 <= 0:
+        raise ValueError(f"degree {lo} outside the domain: gamma + m + 1 <= 0")
+    rel = [Fraction(1)]
+    for m in range(lo, hi):
+        rel.append(rel[-1] * step(m))
+    out = {(m,): c * rel[m - lo] for (m,), c in terms.items()}
+    return GPoly(MPoly(1, out), p.scale * factor(lo))
 
 
 def erdelyi_kober_I(p, gamma, delta) -> GPoly:
@@ -255,13 +227,10 @@ def erdelyi_kober_I(p, gamma, delta) -> GPoly:
     delta = _as_fraction(delta)
     if delta < 0:
         raise ValueError("negative order")
-
-    def factor(m: int) -> GammaRatio:
-        if gamma + m + 1 <= 0:
-            raise ValueError(f"degree {m} outside the domain: gamma + m + 1 <= 0")
-        return GammaRatio(1, num=[gamma + m + 1], den=[gamma + m + delta + 1])
-
-    return _apply_diagonal(p, factor)
+    return _apply_diagonal(
+        p, gamma,
+        lambda m: GammaRatio(1, num=[gamma + m + 1], den=[gamma + m + delta + 1]),
+        lambda m: (gamma + m + 1) / (gamma + m + delta + 1))
 
 
 def ek_left_inverse_D(p, gamma, delta) -> GPoly:
@@ -271,27 +240,26 @@ def ek_left_inverse_D(p, gamma, delta) -> GPoly:
     shifted base, then the Euler operator product
     prod_{k=1..n} (gamma + k + x d/dx); x^m picks up
     prod (gamma + k + m) * Gamma(gamma + delta + m + 1) / Gamma(gamma + m + n + 1).
+    Same domain as erdelyi_kober_I: gamma + m + 1 > 0.
     """
     gamma = _as_fraction(gamma)
     delta = _as_fraction(delta)
     if delta <= 0:
         raise ValueError("order must be positive")
     n = math.ceil(delta)
-
-    def factor(m: int) -> GammaRatio:
-        c = Fraction(1)
-        for k in range(1, n + 1):
-            c *= gamma + k + m
-        return GammaRatio(c, num=[gamma + delta + m + 1], den=[gamma + m + n + 1])
-
-    return _apply_diagonal(p, factor)
+    return _apply_diagonal(
+        p, gamma,
+        lambda m: GammaRatio(pochhammer(gamma + 1 + m, n),
+                             num=[gamma + delta + m + 1], den=[gamma + m + n + 1]),
+        lambda m: ((gamma + n + 1 + m) * (gamma + delta + m + 1)
+                   / ((gamma + 1 + m) * (gamma + m + n + 1))))
 
 
 def chi_inverse_one_var(p, kappa) -> GPoly:
     """Exact inverse of chi_one_var: x^m -> Gamma(kappa + m + 1) / m! x^m."""
     kappa = _as_fraction(kappa)
     if kappa == 0:
-        return p if isinstance(p, GPoly) else GPoly.from_mpoly(p)
+        return _as_gpoly(p)
     return ek_left_inverse_D(p, 0, kappa)
 
 

@@ -342,8 +342,10 @@ class MultivarEigenfunction:
         vals = [kummer_M(k, zj) for k, zj in zip(self._kappas, z)]
         grad = 1j * self._p_lam * (wave * math.prod(vals))
         for j, (k, zj) in enumerate(zip(self._kappas, z)):
+            # M' = M - kappa Gamma(kappa + 1) bold M_(kappa+1), reusing M = vals[j]
+            deriv = vals[j] - k * gamma_plus_one(k) * bold_M(k + 1, zj)
             rest = math.prod(vals[:j] + vals[j + 1:])
-            grad += (1j * self._c[j] * kummer_M_derivative(k, zj) * rest * wave) * self._alphas[j]
+            grad += (1j * self._c[j] * deriv * rest * wave) * self._alphas[j]
         return grad
 
     def eigenvalue(self, xi) -> complex:

@@ -294,7 +294,7 @@ def suite_inverse(cfg: SuiteConfig) -> list[CheckRecord]:
                 x_m = MPoly.monomial((m,))
                 back = chi_inverse_one_var(chi_one_var(x_m, kap), kap + bump)
                 if back != x_m:
-                    got = back.terms.get((m,))
+                    got = back.scale * back.poly.terms.get((m,), 0)
                     return f"D(chi x^{m}) coefficient {got} at kappa={kap}"
         return None
 

@@ -104,3 +104,39 @@ def test_float_agrees_with_lgamma(a, n):
     r = GammaRatio(1, num=[a + n], den=[a])
     expect = math.exp(math.lgamma(float(a + n)) - math.lgamma(float(a)))
     assert r.to_float() == pytest.approx(expect, rel=1e-12)
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@given(positive_args, shifts, rationals)
+def test_equal_values_compare_and_hash_equal(a, n, c):
+    # G(a + n) = (a)_n G(a): the same value from two constructions
+    r1 = GammaRatio(c, den=[a + n])
+    r2 = GammaRatio(c / pochhammer(a, n), den=[a])
+    assert r1 == r2
+    assert hash(r1) == hash(r2)
+
+
+def test_hash_contract():
+    # a rational ratio is its Fraction, in sets and dicts too
+    assert 2 in {GammaRatio(2)}
+    for q in (0, 2, -7, F(3, 4), F(-5, 9)):
+        assert GammaRatio(q) == q
+        assert hash(GammaRatio(q)) == hash(q)
+    assert {GammaRatio(F(15, 8), num=[F(1, 2)], den=[F(7, 2)]): "one"}[1] == "one"
+    # 2/G(7/2) = (8/15)/G(3/2), G(11/2)/G(35/6) = (567/667) G(7/2)/G(23/6),
+    # G(1/2)/G(4/3) = 4 G(5/2)/G(1/3), the classes met in the other order,
+    # and G(-1/2) = -2 G(1/2)
+    pairs = [(GammaRatio(1, num=[F(1, 2)], den=[F(4, 3)]),
+              GammaRatio(4, num=[F(5, 2)], den=[F(1, 3)])),
+             (GammaRatio(2, den=[F(7, 2)]), GammaRatio(F(8, 15), den=[F(3, 2)])),
+             (GammaRatio(1, num=[F(11, 2)], den=[F(35, 6)]),
+              GammaRatio(F(567, 667), num=[F(7, 2)], den=[F(23, 6)])),
+             (GammaRatio(1, num=[F(-1, 2)]), GammaRatio(-2, num=[F(1, 2)])),
+             (GammaRatio(1, num=[F(7, 2)], den=[F(1, 3)]),
+              GammaRatio(F(15, 8), num=[F(1, 2)], den=[F(1, 3)]))]
+    for r1, r2 in pairs:
+        assert r1 == r2
+        assert hash(r1) == hash(r2)
+    assert GammaRatio(2, den=[F(7, 2)]) != GammaRatio(2, den=[F(3, 2)])

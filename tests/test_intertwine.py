@@ -78,9 +78,9 @@ def test_h_map_wrong_t_length():
 def test_chi_one_var_monomials():
     # x^m picks up m! / Gamma(kappa + m + 1)
     g = chi_one_var(P("x1^2"), 1)
-    assert g == GPoly(1, {(2,): GammaRatio(2, den=[4])})
+    assert g == GPoly(P("x1^2"), GammaRatio(2, den=[4]))
     # kappa = 1 makes every factor rational: 2/Gamma(4) = 1/3
-    assert g.terms[(2,)].to_float() == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert g.eval_float([1.0]) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_chi_poly_scaled_coordinate_square():
@@ -207,21 +207,35 @@ def test_rho_poly_of_block_invariant_is_zero():
 # ---- GPoly container ----
 
 def test_gpoly_text_and_equality():
-    g = GPoly(1, {(2,): GammaRatio(2, den=[F(7, 2)])})
+    g = GPoly(P("2*x1^2"), GammaRatio(1, den=[F(7, 2)]))
     assert g.to_text() == "[2/G(7/2)]*x1^2"
-    assert g == GPoly(1, {(2,): GammaRatio(2, den=[F(7, 2)])})
-    assert g != GPoly(1, {(2,): GammaRatio(3, den=[F(7, 2)])})
-    # rational-only coefficients compare equal to the plain polynomial
-    assert GPoly.from_mpoly(P("1/3*x1^2")) == P("1/3*x1^2")
+    assert g == GPoly(P("x1^2"), GammaRatio(2, den=[F(7, 2)]))
+    assert g != GPoly(P("x1^2"), GammaRatio(3, den=[F(7, 2)]))
+    # equal by value: 2/G(7/2) = (8/15)/G(3/2)
+    assert g == GPoly(P("8/15*x1^2"), GammaRatio(1, den=[F(3, 2)]))
+    # a rational scale compares equal to the plain polynomial
+    assert GPoly(P("x1^2"), GammaRatio(F(1, 3))) == P("1/3*x1^2")
 
 
 def test_gpoly_addition_merges_like_structures():
-    a = GPoly(1, {(1,): GammaRatio(1, den=[F(5, 2)])})
-    b = GPoly(1, {(1,): GammaRatio(2, den=[F(5, 2)])})
-    assert (a + b) == GPoly(1, {(1,): GammaRatio(3, den=[F(5, 2)])})
-    c = GPoly(1, {(1,): GammaRatio(1, den=[F(1, 3)])})
+    a = GPoly(P("x1"), GammaRatio(1, den=[F(5, 2)]))
+    b = GPoly(P("x1"), GammaRatio(2, den=[F(5, 2)]))
+    assert (a + b) == GPoly(P("x1"), GammaRatio(3, den=[F(5, 2)]))
+    c = GPoly(P("x1"), GammaRatio(1, den=[F(1, 3)]))
     with pytest.raises(ValueError):
         a + c
+
+
+def test_gpoly_addition_across_rationally_related_scales():
+    # the scales G(7/2)/G(23/6) and G(11/2)/G(35/6) differ by a rational factor
+    a = erdelyi_kober_I(P("x1^2 + x1^4"), F(1, 2), F(1, 3))
+    b = erdelyi_kober_I(P("x1^2"), F(5, 2), F(1, 3))
+    total = a + b
+    assert total.to_text() == ("[567/667*G(7/2)/G(23/6)]*x1^4 + "
+                               "[1234/667*G(7/2)/G(23/6)]*x1^2")
+    for x in (0.7, -1.3, 2.0):
+        want = a.eval_float([x]) + b.eval_float([x])
+        assert total.eval_float([x]) == pytest.approx(want, rel=1e-15)
 
 
 def test_gpoly_eval_float():
@@ -234,7 +248,7 @@ def test_gpoly_eval_float():
 
 def test_erdelyi_kober_monomial_factor():
     g = erdelyi_kober_I(P("x1^2"), F(1, 2), F(1, 2))
-    assert g == GPoly(1, {(2,): GammaRatio(1, num=[F(7, 2)], den=[4])})
+    assert g == GPoly(P("x1^2"), GammaRatio(1, num=[F(7, 2)], den=[4]))
 
 
 def test_erdelyi_kober_validation():
@@ -242,6 +256,28 @@ def test_erdelyi_kober_validation():
         erdelyi_kober_I(P("x1"), 0, F(-1, 2))
     with pytest.raises(ValueError):
         erdelyi_kober_I(P("1"), -2, F(1, 2))  # gamma + 0 + 1 <= 0
+
+
+@pytest.mark.parametrize("diagonal_map", [erdelyi_kober_I, ek_left_inverse_D])
+@pytest.mark.parametrize("gamma, delta", [(F(0), F(1, 2)), (F(1, 2), F(1, 3)),
+                                          (F(-1, 3), F(5, 2)), (F(2), F(3))])
+def test_diagonal_maps_act_term_by_term(diagonal_map, gamma, delta):
+    # the image walks the degrees from the lowest one; each monomial's own
+    # image starts at its degree
+    p = P("x1^7 - 3*x1^4 + 1/2*x1^3 + 2*x1")
+    parts = [diagonal_map(MPoly.monomial(e, c), gamma, delta) for e, c in p.terms.items()]
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    assert diagonal_map(p, gamma, delta) == total
+
+
+def test_ek_left_inverse_domain():
+    # the domain of the forward map: gamma + m + 1 > 0 for the lowest degree m
+    with pytest.raises(ValueError, match="degree 0"):
+        ek_left_inverse_D(P("x1^2 + 1"), -1, F(1, 2))
+    p = P("x1^3 + x1^2")
+    assert ek_left_inverse_D(erdelyi_kober_I(p, -1, F(1, 2)), -1, F(1, 2)) == p
 
 
 @pytest.mark.parametrize("gamma", [F(0), F(1, 2), F(1)])

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from projdunkl import kummer
 from projdunkl import (
     OrthogonalSubsystem,
     RationalVector,
@@ -430,6 +431,17 @@ def test_eigen_multivar_gradient_central_differences():
         x = np.array(x)
         fd = [(e.value(x + h * u) - e.value(x - h * u)) / (2 * h) for u in np.eye(3)]
         assert np.abs(e.gradient(x) - np.array(fd)).max() < 1e-8
+
+
+def test_eigen_multivar_gradient_evaluates_the_kernel_twice_per_root(monkeypatch):
+    # M'_j comes from the value M_j already computed plus one shifted kernel
+    sub = build_subsystem_B(4, [F(1, 2), F(3, 2)], [F(1), F(5, 2)])
+    e = eigen_multivar(sub, [0.7, -1.2, 0.4, 1.9])
+    calls = []
+    real_eval = kummer._eval
+    monkeypatch.setattr(kummer, "_eval", lambda k, z: calls.append(k) or real_eval(k, z))
+    e.gradient([0.3, -0.5, 1.1, 0.2])
+    assert len(calls) == 2 * sub.nroots
 
 
 def test_eigen_multivar_odd_trailing_coordinate():
