@@ -66,9 +66,7 @@ from .kummer import (
     eigen_multivar,
     eigen_rank_one,
     generalized_ode_residual,
-    kernel_grid_csv,
     kummer_M,
-    kummer_M_derivative,
 )
 from .transform import (
     TransformRequest,
@@ -104,8 +102,7 @@ __all__ = [
     "erdelyi_kober_I_numeric", "h_map",
     "MultivarEigenfunction", "bold_M", "bold_M_derivative",
     "bold_M_on_imaginary", "eigen_multivar", "eigen_rank_one",
-    "generalized_ode_residual", "kernel_grid_csv", "kummer_M",
-    "kummer_M_derivative",
+    "generalized_ode_residual", "kummer_M",
     "TransformRequest", "c0_decay_check", "factorization_check",
     "kummer_transform", "l1_norm", "sup_norm_bound_check", "transform_csv",
     "transform_grid",

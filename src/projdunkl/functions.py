@@ -6,8 +6,7 @@ A means the function vanishes outside [-A, A] (None for unbounded support).
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,8 +17,7 @@ class TestFunction:
     """A named function R^dim -> C with analytic derivatives.
 
     For dim == 1, gradient(x) returns the scalar derivative. second_derivative
-    is optional and only needed by second-order operators. smooth=False marks
-    entries with jump discontinuities (allowed on integral paths only).
+    is optional and only needed by second-order operators.
     """
 
     name: str
@@ -28,7 +26,6 @@ class TestFunction:
     gradient: Callable
     support_bound: Optional[float] = None
     second_derivative: Optional[Callable] = None
-    smooth: bool = True
     # arguments where smoothness degrades (jumps, kinks, flat non-analytic
     # points); integral paths split their meshes here
     corners: tuple = ()
@@ -122,8 +119,12 @@ def _smoothstep(u):
     return a / denom
 
 def _smoothstep_d(u):
-    h = 1e-6
-    return (_smoothstep(u + h) - _smoothstep(u - h)) / (2 * h)
+    """s'(u) = a b (1/u^2 + 1/(1-u)^2) / (a + b)^2, a = e^(-1/u), b = e^(-1/(1-u))."""
+    u = np.asarray(u, dtype=float)
+    inside = (u > 0.0) & (u < 1.0)
+    v = np.where(inside, u, 0.5)
+    a, b = np.exp(-1.0 / v), np.exp(-1.0 / (1.0 - v))
+    return np.where(inside, a * b * (1.0 / v**2 + 1.0 / (1.0 - v)**2) / (a + b)**2, 0.0)
 
 
 _W13 = 0.5  # transition width of the smoothed [1,3] indicator
@@ -147,7 +148,7 @@ def catalog() -> dict[str, TestFunction]:
         "bump": TestFunction("bump", 1, _bump_v, _bump_d, 1.0, _bump_d2,
                              corners=(-1.0, 1.0)),
         "indicator": TestFunction("indicator", 1, _indicator_v, lambda x: 0.0 * np.asarray(x, dtype=float),
-                                  1.0, smooth=False, corners=(-1.0, 1.0)),
+                                  1.0, corners=(-1.0, 1.0)),
         "ind13": TestFunction("ind13", 1, _ind13_v, _ind13_d, 3.0,
                               corners=(1.0, 1.5, 2.5, 3.0)),
     }
@@ -180,26 +181,5 @@ def from_poly(p) -> TestFunction:
         f"poly[{p.to_text()}]", p.nvars,
         lambda x: poly_eval(p, list(x)),
         lambda x: np.array([poly_eval(g, list(x)) for g in grads], dtype=float),
-        None,
-    )
-
-
-def exp_i_lambda(lam: Sequence[float]) -> TestFunction:
-    """x -> exp(i<lam, x>) in dimension len(lam)."""
-    lam = np.asarray(lam, dtype=float)
-    n = len(lam)
-    if n == 1:
-        l0 = float(lam[0])
-        return TestFunction(
-            f"exp(i*{l0}*x)", 1,
-            lambda x: np.exp(1j * l0 * np.asarray(x, dtype=float)) if not np.isscalar(x) else complex(math.cos(l0 * x), math.sin(l0 * x)),
-            lambda x: 1j * l0 * np.exp(1j * l0 * x),
-            None,
-            lambda x: -(l0 ** 2) * np.exp(1j * l0 * x),
-        )
-    return TestFunction(
-        f"exp(i<lam,x>), lam={lam.tolist()}", n,
-        lambda x: complex(np.exp(1j * float(np.dot(lam, np.asarray(x, dtype=float))))),
-        lambda x: 1j * lam * np.exp(1j * float(np.dot(lam, np.asarray(x, dtype=float)))),
         None,
     )

@@ -265,75 +265,75 @@ def chi_inverse_one_var(p, kappa) -> GPoly:
 
 # ---- numeric layer -------------------------------------------------------------
 
-def erdelyi_kober_I_numeric(gamma: float, delta: float, f: Callable, x: float,
-                            order: int = 80) -> float:
-    """(1 / Gamma(delta)) integral_0^1 (1-t)^(delta-1) t^gamma f(t x) dt."""
+_EK_ORDER = 80  # Gauss-Jacobi order of the one-variable fractional integral
+_TENSOR_ORDER = 24  # per-root order of chi_numeric's tensor rule
+_DUAL_ORDER = 32  # panel order of dual_chi and duality_pairing
+
+
+def erdelyi_kober_I_numeric(gamma: float, delta: float, f: Callable, x: float):
+    """(1 / Gamma(delta)) integral_0^1 (1-t)^(delta-1) t^gamma f(t x) dt.
+
+    f takes numpy arrays and is called once, on the rule's nodes; delta = 0
+    is the identity. The result is real exactly when its imaginary part is 0.
+    """
     if delta == 0:
         return f(x)
-    rule = get_rule(delta, order, beta=gamma)
-    v = rule.integrate(lambda t: f(t * x))
-    v = v / math.gamma(delta)
-    return v.real if abs(v.imag) < 1e-300 else v
+    rule = get_rule(delta, _EK_ORDER, beta=gamma)
+    v = rule.integrate(lambda t: f(t * x)) / math.gamma(delta)
+    return v.real if v.imag == 0 else v
 
 
-def chi_one_var_numeric(kappa: float, f, x: float, order: int = 80):
-    """Unscaled one-variable forward map by Gauss quadrature."""
+def chi_one_var_numeric(kappa: float, f, x: float):
+    """Unscaled one-variable forward map, the fractional integral of order kappa.
+
+    kappa = 0 is the identity. On f(t) = e^t and e^(i t) the image is the
+    kernel, bold M_kappa(x) and bold M_kappa(i x); against its 40-digit
+    reference the relative error for x in [-2.5, 2.5] stays below 1e-11 at
+    kappa 0.05, 5e-12 at 0.13, 5e-13 at 0.37-0.5 and 5e-14 from 0.75 up.
+    """
     value = f.value if hasattr(f, "value") else f
-    rule = get_rule(kappa, order)
-    v = rule.integrate(lambda t: value(t * x)) / math.gamma(kappa)
-    return v.real if abs(v.imag) == 0 else v
+    return erdelyi_kober_I_numeric(0, kappa, value, x)
 
 
-def chi_numeric(subsystem: OrthogonalSubsystem, f, x, order: int = 24):
-    """Tensor-quadrature forward map; cost grows as order ** nroots."""
+def chi_numeric(subsystem: OrthogonalSubsystem, f, x):
+    """Tensor-quadrature forward map; cost grows as _TENSOR_ORDER ** nroots."""
     value = f.value if hasattr(f, "value") else f
     rules = []
     for kappa in subsystem.kappas:
         if kappa <= 0:
             raise ValueError("numeric forward map needs kappa > 0 on every root")
-        rules.append(get_rule(kappa, order))
+        rules.append(get_rule(kappa, _TENSOR_ORDER))
     total = 0.0
     norm = math.prod(math.gamma(float(k)) for k in subsystem.kappas)
-    for idx in iter_product(range(order), repeat=len(rules)):
+    for idx in iter_product(range(_TENSOR_ORDER), repeat=len(rules)):
         t = [rules[j].nodes[i] for j, i in enumerate(idx)]
         w = math.prod(rules[j].weights[i] for j, i in enumerate(idx))
         total = total + w * value(h_map(subsystem, t, x))
     return total / norm
 
 
-def chi_inverse_numeric(kappa: float, derivs: Sequence[Callable], x: float,
-                        order: int = 80):
+def chi_inverse_numeric(kappa: float, derivs: Sequence[Callable], x: float):
     """Inverse map at one point from the jet of f.
 
-    derivs lists f and its first n = ceil(kappa) derivatives. Builds the jet of
-    the order-(n - kappa) fractional integral under the integral sign, then
-    runs the Euler factors (k + x d/dx), k = 1..n, down to a value.
+    derivs lists f and its first n = ceil(kappa) derivatives as callables on
+    numpy arrays (at integer kappa each is called at x alone). Entry r of the
+    jet of the order-(n - kappa) fractional integral, differentiated under the
+    integral sign, is erdelyi_kober_I_numeric(kappa + r, n - kappa, derivs[r],
+    x); the Euler factors (k + x d/dx), k = 1..n, run the jet down to a value.
     """
-    if kappa == 0:
-        return derivs[0](x)
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     n = math.ceil(kappa)
     if len(derivs) < n + 1:
         raise ValueError(f"need {n + 1} derivative callables, got {len(derivs)}")
-    if kappa == n:
-        jets = [derivs[r](x) for r in range(n + 1)]
-    else:
-        jets = []
-        norm = math.gamma(n - kappa)
-        for r in range(n + 1):
-            rule = get_rule(n - kappa, order, beta=kappa + r)
-            # derivative callables need not be vectorized
-            vals = [derivs[r](t * x) for t in rule.nodes]
-            v = rule.integrate_values(vals) / norm
-            jets.append(v.real if abs(v.imag) == 0 else v)
+    jets = [erdelyi_kober_I_numeric(kappa + r, n - kappa, derivs[r], x)
+            for r in range(n + 1)]
     for k in range(1, n + 1):
         jets = [(k + j) * jets[j] + x * jets[j + 1] for j in range(len(jets) - 1)]
     return jets[0]
 
 
-def dual_chi(kappa: float, g, x: float, support_bound: float | None = None,
-             order: int = 32):
+def dual_chi(kappa: float, g, x: float, support_bound: float | None = None):
     """Adjoint of the one-variable forward map:
 
         (1 / Gamma(kappa)) integral_|x|^A (t - |x|)^(kappa-1) t^(-kappa) g(sgn(x) t) dt,
@@ -342,7 +342,7 @@ def dual_chi(kappa: float, g, x: float, support_bound: float | None = None,
     u^(kappa-1) is absorbed on a head interval by the substitution u = h v^2;
     the rest is integrated on panels split at the corner points advertised by
     g and geometrically refined toward the segment ends: one cached unit
-    mesh, graded_panels(0, 1, order), mapped onto each segment.
+    mesh, graded_panels(0, 1, _DUAL_ORDER), mapped onto each segment.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -369,18 +369,18 @@ def dual_chi(kappa: float, g, x: float, support_bound: float | None = None,
     # head [0, h]: u = h v^2 trades the u^(kappa-1) weight for v^(2 kappa - 1);
     # h never exceeds |x| so the t^(-kappa) factor stays resolved
     h = min(ax, cuts[0])
-    head_rule = get_rule(1, 2 * order, beta=2.0 * kappa - 1.0)
+    head_rule = get_rule(1, 2 * _DUAL_ORDER, beta=2.0 * kappa - 1.0)
     total = 2.0 * h ** kappa * float(
         np.dot(head_rule.weights, smooth(h * head_rule.nodes**2)))
     pts = [h] + [c for c in cuts if c > h * (1.0 + 1e-12)]
-    unit_x, unit_w = _unit_panels(order)
+    unit_x, unit_w = _unit_panels(_DUAL_ORDER)
     for lo, hi in zip(pts[:-1], pts[1:]):
         xs = lo + (hi - lo) * unit_x
         total += float(np.dot((hi - lo) * unit_w, xs ** (kappa - 1.0) * smooth(xs)))
     return total / math.gamma(kappa)
 
 
-def duality_pairing(kappa: float, f, g, x_bound: float, order: int = 32) -> tuple[float, float]:
+def duality_pairing(kappa: float, f, g, x_bound: float) -> tuple[float, float]:
     """Both sides of integral (chi f) g dx = integral f (dual chi g) dx on [-B, B].
 
     g must vanish outside [-B, B]; f only needs values on [-B, B]. The outer
@@ -395,7 +395,7 @@ def duality_pairing(kappa: float, f, g, x_bound: float, order: int = 32) -> tupl
     lhs = 0.0
     rhs = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        xs, ws = graded_panels(lo, hi, order)
+        xs, ws = graded_panels(lo, hi, _DUAL_ORDER)
         for xi, wi in zip(xs, ws):
             lhs += wi * chi_one_var_numeric(kappa, f, xi) * float(gval(xi))
             rhs += wi * float(fval(xi)) * dual_chi(kappa, g, xi, support_bound=bnd)

@@ -247,10 +247,6 @@ def bold_M_derivative(kappa: float, z: complex, n: int = 1) -> complex:
     return total
 
 
-def kummer_M_derivative(kappa: float, z: complex, n: int = 1) -> complex:
-    return gamma_plus_one(kappa) * bold_M_derivative(kappa, z, n)
-
-
 def bold_M_on_imaginary(kappa: float, y: np.ndarray) -> np.ndarray:
     """Vectorized kernel values bold M_kappa(i y) for a real array y."""
     _check_kappa(kappa)
@@ -358,18 +354,3 @@ def eigen_multivar(subsystem: OrthogonalSubsystem,
                    lam: Sequence[float]) -> MultivarEigenfunction:
     """Build the joint eigenfunction of any orthogonal subsystem."""
     return MultivarEigenfunction(subsystem, tuple(lam))
-
-
-# ---- grid export -----------------------------------------------------------------
-
-def kernel_grid_csv(kappas: Sequence[float], lambdas: Sequence[float],
-                    xs: Sequence[float]) -> str:
-    """Transform-kernel values bold M_kappa(i lam x) as CSV."""
-    lines = ["kappa,lambda,x,re,im,abs"]
-    for kap in kappas:
-        for lam in lambdas:
-            vals = bold_M_on_imaginary(float(kap), np.asarray(
-                [lam * x for x in xs], dtype=float))
-            for x, v in zip(xs, vals):
-                lines.append(f"{kap},{lam},{x},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}")
-    return "\n".join(lines) + "\n"

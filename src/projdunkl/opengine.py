@@ -138,12 +138,6 @@ class ProjectionDunklOperator:
     def apply_poly(self, p: MPoly) -> MPoly:
         return apply_T_poly(self.subsystem, self.xi, p)
 
-    def apply_numeric(self, f, x):
-        return apply_T_numeric(self.subsystem, self.xi, f, x)
-
-    def decompose(self) -> XiDecomposition:
-        return decompose_xi(self.subsystem, self.xi)
-
 
 def commutator_poly(op_a: ProjectionDunklOperator, op_b: ProjectionDunklOperator,
                     p: MPoly) -> MPoly:

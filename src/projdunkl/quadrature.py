@@ -97,8 +97,9 @@ class JacobiQuadrature:
         self.weights = w * 2.0 ** (-(a + b + 1.0))
 
     def integrate(self, f) -> complex:
-        """f is a vectorized callable on the open interval (0,1)."""
-        return complex(np.sum(self.weights * np.asarray(f(self.nodes))))
+        """f is a vectorized callable on the open interval (0,1); a constant
+        f may return a scalar."""
+        return self.integrate_values(np.broadcast_to(f(self.nodes), self.nodes.shape))
 
     def integrate_values(self, values) -> complex:
         return complex(np.dot(self.weights, np.asarray(values)))

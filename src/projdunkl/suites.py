@@ -313,7 +313,9 @@ def suite_inverse(cfg: SuiteConfig) -> list[CheckRecord]:
         # chi(exp) has the kernel's integral form, so its jet is available
         for kap in (0.5, 1.5, 2.5):
             kk = kap + float(bump)
-            derivs = [lambda x, n=n, k=kap: bold_M_derivative(k, complex(x), n).real
+            # kk is never an integer, so each callable sees a node array
+            derivs = [lambda t, n=n, k=kap: np.array(
+                          [bold_M_derivative(k, complex(v), n).real for v in t])
                       for n in range(4)]
             for x in (0.3, 1.0, -0.75):
                 got = chi_inverse_numeric(kk, derivs, x)

@@ -32,6 +32,8 @@ from .kummer import bold_M_on_imaginary, gamma_plus_one
 from .quadrature import _cell_count, _store, graded_panels, legendre_rule
 
 _PANEL_ORDER = 24
+_SUP_SLACK = 1e-9  # rounding allowance of sup_norm_bound_check
+_DECAY_COEFF = 0.05  # c0_decay_check: |F_kappa f| / ||f||_1 allowed at the last lam
 # meshes by (cuts, order, cells per piece): a mesh depends on lam only through
 # its cell counts, so one 64-point request builds a handful; read-only arrays
 _MESH_CACHE_SIZE = 8
@@ -96,14 +98,13 @@ def l1_norm(f, bound: float | None = None) -> float:
 
 
 def sup_norm_bound_check(f, kappa: float, lams: Sequence[float],
-                         bound: float | None = None,
-                         slack: float = 1e-9) -> tuple[bool, float, float]:
-    """Check sup |F_kappa f| <= ||f||_1 / Gamma(kappa + 1) + slack on the grid.
+                         bound: float | None = None) -> tuple[bool, float, float]:
+    """Check sup |F_kappa f| <= ||f||_1 / Gamma(kappa + 1) + _SUP_SLACK on the grid.
 
     Returns (ok, observed sup, allowed bound).
     """
     vals = np.abs(transform_grid(f, kappa, lams, bound))
-    allowed = l1_norm(f, bound) / gamma_plus_one(kappa) + slack
+    allowed = l1_norm(f, bound) / gamma_plus_one(kappa) + _SUP_SLACK
     return bool(np.all(vals <= allowed)), float(np.max(vals)), allowed
 
 
@@ -201,12 +202,12 @@ class DecayReport:
 
 
 def c0_decay_check(f, kappa: float, lams: Sequence[float] = (10.0, 100.0, 1000.0),
-                   bound: float | None = None, coeff: float = 0.05) -> DecayReport:
+                   bound: float | None = None) -> DecayReport:
     """High-frequency falloff: |F_kappa f| at the largest lam must drop below
-    coeff * ||f||_1."""
+    _DECAY_COEFF * ||f||_1."""
     vals = tuple(abs(v) for v in transform_grid(f, kappa, lams, bound))
     l1 = l1_norm(f, bound)
-    return DecayReport(tuple(lams), vals, l1, coeff * l1)
+    return DecayReport(tuple(lams), vals, l1, _DECAY_COEFF * l1)
 
 
 def transform_csv(f, kappa: float, lams: Sequence[float],

@@ -136,7 +136,8 @@ def test_criterion_3_inverse_map():
     worst = 0.0
     for kap in (0.5, 1.5):
         n_jet = math.ceil(kap) + 1
-        derivs = [lambda t, n=n, k=kap: bold_M_derivative(k, t, n).real
+        derivs = [lambda t, n=n, k=kap: np.array([bold_M_derivative(k, v, n).real
+                                                  for v in t])
                   for n in range(n_jet)]
         for x in (0.5, 1.0, -0.8):
             err = abs(chi_inverse_numeric(kap, derivs, x) - math.exp(x))

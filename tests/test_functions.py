@@ -1,11 +1,12 @@
 """Catalog sanity: derivatives match finite differences, supports hold."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from projdunkl import MPoly, catalog, get_function
-from projdunkl.functions import exp_i_lambda, from_poly
+from projdunkl.functions import from_poly
 
 
 SMOOTH_POINTS = [-1.7, -0.4, 0.31, 0.9, 1.6, 2.2]
@@ -25,6 +26,27 @@ def test_second_derivative_matches_finite_differences(name):
         fd = (f.value(x + h) - 2 * f.value(x) + f.value(x - h)) / h ** 2
         an = f.second_derivative(x)
         assert an == pytest.approx(fd, rel=3e-5, abs=3e-5)
+
+
+def test_ind13_derivative_matches_mpmath():
+    # closed-form derivative of the smoothed [1, 3] indicator on both
+    # transitions, against a 40-digit numerical derivative
+    def step(u):
+        if u <= 0:
+            return mp.mpf(0)
+        if u >= 1:
+            return mp.mpf(1)
+        a, b = mp.exp(-1 / u), mp.exp(-1 / (1 - u))
+        return a / (a + b)
+
+    f = get_function("ind13")
+    xs = np.concatenate([np.linspace(1.01, 1.49, 25), np.linspace(2.51, 2.99, 25)])
+    with mp.workdps(40):
+        for x in xs:
+            want = float(mp.diff(lambda t: step((t - 1) * 2) * step((3 - t) * 2),
+                                 mp.mpf(float(x))))
+            assert f.gradient(float(x)) == pytest.approx(want, rel=1e-13)
+    np.testing.assert_array_equal(f.gradient(np.array([0.5, 2.0, 3.5])), 0.0)
 
 
 def test_support_bounds_hold():
@@ -55,7 +77,6 @@ def test_bump_normalization():
 
 def test_indicator_flags():
     f = get_function("indicator")
-    assert not f.smooth
     assert f.value(0.3) == 1.0
     assert f.gradient(0.3) == 0.0
 
@@ -93,19 +114,3 @@ def test_scalar_derivative_guard():
     f = from_poly(MPoly.from_text("x1*x2", 2))
     with pytest.raises(ValueError):
         f.derivative(np.array([1.0, 2.0]))
-
-
-def test_exp_i_lambda_one_var():
-    f = exp_i_lambda([2.0])
-    assert f.value(0.5) == pytest.approx(complex(math.cos(1.0), math.sin(1.0)))
-    assert f.gradient(0.5) == pytest.approx(2j * f.value(0.5))
-    assert f.second_derivative(0.5) == pytest.approx(-4.0 * f.value(0.5))
-
-
-def test_exp_i_lambda_multivar():
-    lam = [1.0, -0.5]
-    f = exp_i_lambda(lam)
-    x = np.array([0.3, 0.8])
-    want = np.exp(1j * (1.0 * 0.3 - 0.5 * 0.8))
-    assert f.value(x) == pytest.approx(want)
-    np.testing.assert_allclose(f.gradient(x), 1j * np.array(lam) * want, rtol=1e-14)

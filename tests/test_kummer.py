@@ -20,9 +20,7 @@ from projdunkl import (
     eigen_multivar,
     eigen_rank_one,
     generalized_ode_residual,
-    kernel_grid_csv,
     kummer_M,
-    kummer_M_derivative,
     one_var_T,
 )
 from projdunkl.kummer import (
@@ -99,9 +97,6 @@ def test_derivative_matches_term_by_term_series():
 def test_derivative_validation_and_nonbold_scaling():
     with pytest.raises(ValueError):
         bold_M_derivative(0.5, 1.0, -1)
-    z = 0.4j
-    assert kummer_M_derivative(0.5, z, 1) == pytest.approx(
-        math.gamma(1.5) * bold_M_derivative(0.5, z, 1), rel=1e-15)
 
 
 def test_vectorized_kernel_matches_scalar_across_regimes():
@@ -451,14 +446,3 @@ def test_eigen_multivar_odd_trailing_coordinate():
     xi = RationalVector.parse("(0, 0, 1)")
     x = [0.3, -0.4, 0.8]
     assert _residual(sub, e, xi, x) < 1e-10
-
-
-def test_kernel_grid_csv_shape():
-    out = kernel_grid_csv([0.5, 1.0], [1.0, 2.0], [0.0, 0.5, 1.0])
-    lines = out.strip().split("\n")
-    assert lines[0] == "kappa,lambda,x,re,im,abs"
-    assert len(lines) == 1 + 2 * 2 * 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.5 and float(first[2]) == 0.0
-    # bold M at 0 is 1/Gamma(kappa+1)
-    assert float(first[3]) == pytest.approx(1.0 / math.gamma(1.5), rel=1e-15)
