@@ -61,7 +61,9 @@ from .intertwine import (
 from .kummer import (
     MultivarEigenfunction,
     bold_M,
+    bold_M_array,
     bold_M_derivative,
+    bold_M_jet,
     bold_M_on_imaginary,
     eigen_multivar,
     eigen_rank_one,
@@ -100,8 +102,8 @@ __all__ = [
     "chi_one_var", "chi_one_var_numeric", "chi_poly_scaled", "dual_chi",
     "duality_pairing", "ek_left_inverse_D", "erdelyi_kober_I",
     "erdelyi_kober_I_numeric", "h_map",
-    "MultivarEigenfunction", "bold_M", "bold_M_derivative",
-    "bold_M_on_imaginary", "eigen_multivar", "eigen_rank_one",
+    "MultivarEigenfunction", "bold_M", "bold_M_array", "bold_M_derivative",
+    "bold_M_jet", "bold_M_on_imaginary", "eigen_multivar", "eigen_rank_one",
     "generalized_ode_residual", "kummer_M",
     "TransformRequest", "c0_decay_check", "factorization_check",
     "kummer_transform", "l1_norm", "sup_norm_bound_check", "transform_csv",

@@ -59,6 +59,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_eval(args) -> int:
     kind = args.kind
+    needs = "z" if kind == "M" else "poly"
+    if getattr(args, needs) is None:
+        raise ValueError(f"eval {kind} needs --{needs}")
     if kind == "T":
         poly = MPoly.from_text(args.poly)
         xi = RationalVector.parse(args.xi) if args.xi else RationalVector.unit(0, 1)

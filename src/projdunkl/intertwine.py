@@ -268,6 +268,10 @@ def chi_inverse_one_var(p, kappa) -> GPoly:
 _EK_ORDER = 80  # Gauss-Jacobi order of the one-variable fractional integral
 _TENSOR_ORDER = 24  # per-root order of chi_numeric's tensor rule
 _DUAL_ORDER = 32  # panel order of dual_chi and duality_pairing
+# points per block of dual_chi. A row holds 64 head nodes and 864 per
+# segment, so a block of one segment holds about 7.4k nodes: the temporaries
+# of a call stay small whatever its number of points
+_DUAL_ROWS = 8
 
 
 def erdelyi_kober_I_numeric(gamma: float, delta: float, f: Callable, x: float):
@@ -333,7 +337,7 @@ def chi_inverse_numeric(kappa: float, derivs: Sequence[Callable], x: float):
     return jets[0]
 
 
-def dual_chi(kappa: float, g, x: float, support_bound: float | None = None):
+def dual_chi(kappa: float, g, x, support_bound: float | None = None):
     """Adjoint of the one-variable forward map:
 
         (1 / Gamma(kappa)) integral_|x|^A (t - |x|)^(kappa-1) t^(-kappa) g(sgn(x) t) dt,
@@ -343,10 +347,17 @@ def dual_chi(kappa: float, g, x: float, support_bound: float | None = None):
     the rest is integrated on panels split at the corner points advertised by
     g and geometrically refined toward the segment ends: one cached unit
     mesh, graded_panels(0, 1, _DUAL_ORDER), mapped onto each segment.
+
+    x is a number, which gives a float, or an array, which gives an array of
+    its shape. Points with as many segments are worked together, _DUAL_ROWS
+    at a time, with one call of g on all their nodes.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    if x == 0:
+    xs = np.asarray(x, dtype=float)
+    if np.isnan(xs).any():
+        raise ValueError("x = nan is not a point of the line")
+    if (xs == 0).any():
         raise ValueError("the dual map is evaluated away from the origin")
     value = g.value if hasattr(g, "value") else g
     bound = support_bound
@@ -354,30 +365,55 @@ def dual_chi(kappa: float, g, x: float, support_bound: float | None = None):
         bound = getattr(g, "support_bound", None)
     if bound is None:
         raise ValueError("a finite support bound is required")
-    ax = abs(x)
-    if ax >= bound:
-        return 0.0
-    sgn = 1.0 if x > 0 else -1.0
+    flat = xs.ravel()
+    out = np.zeros(flat.shape)
+    live = np.flatnonzero(np.abs(flat) < bound)
+    if live.size:
+        corners = sorted({float(c) for c in getattr(g, "corners", ())})
+        out[live] = _dual_live(kappa, value, flat[live], float(bound), corners)
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
-    def smooth(u):
-        t = u + ax
-        return t ** (-kappa) * np.asarray(value(sgn * t))
 
+def _dual_live(kappa: float, value, x: np.ndarray, bound: float,
+               corners: list[float]) -> np.ndarray:
+    """dual_chi at points 0 < |x| < bound."""
+    ax = np.abs(x)
+    sgn = np.where(x > 0, 1.0, -1.0)
     span = bound - ax
-    cuts = sorted({span} | {sgn * c - ax for c in getattr(g, "corners", ())
-                            if 0.0 < sgn * c - ax < span})
+    # each row: the segment ends in u = t - |x|, the support end and the
+    # corners strictly inside (0, span), ascending, inf where there are none
+    cand = sgn[:, None] * np.array(corners) - ax[:, None]
+    cuts = np.where((cand > 0.0) & (cand < span[:, None]), cand, np.inf)
+    cuts = np.sort(np.concatenate([span[:, None], cuts], axis=1), axis=1)
     # head [0, h]: u = h v^2 trades the u^(kappa-1) weight for v^(2 kappa - 1);
     # h never exceeds |x| so the t^(-kappa) factor stays resolved
-    h = min(ax, cuts[0])
+    h = np.minimum(ax, cuts[:, 0])
+    cuts = np.sort(np.where(cuts > h[:, None] * (1.0 + 1e-12), cuts, np.inf), axis=1)
+    nseg = np.isfinite(cuts).sum(axis=1)
     head_rule = get_rule(1, 2 * _DUAL_ORDER, beta=2.0 * kappa - 1.0)
-    total = 2.0 * h ** kappa * float(
-        np.dot(head_rule.weights, smooth(h * head_rule.nodes**2)))
-    pts = [h] + [c for c in cuts if c > h * (1.0 + 1e-12)]
+    head_v2 = head_rule.nodes**2
     unit_x, unit_w = _unit_panels(_DUAL_ORDER)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        xs = lo + (hi - lo) * unit_x
-        total += float(np.dot((hi - lo) * unit_w, xs ** (kappa - 1.0) * smooth(xs)))
-    return total / math.gamma(kappa)
+    nh, m = head_v2.size, unit_x.size
+    out = np.empty(x.shape)
+    for nsegs in np.unique(nseg).tolist():
+        rows = np.flatnonzero(nseg == nsegs)
+        for k in range(0, rows.size, _DUAL_ROWS):
+            b = rows[k:k + _DUAL_ROWS]
+            pts = np.concatenate([h[b, None], cuts[b, :nsegs]], axis=1)
+            lo, width = pts[:, :-1, None], np.diff(pts, axis=1)[:, :, None]
+            us = np.concatenate([h[b, None] * head_v2,
+                                 (lo + width * unit_x).reshape(b.size, -1)], axis=1)
+            t = us + ax[b, None]
+            smooth = (t.ravel() ** (-kappa)
+                      * np.asarray(value((sgn[b, None] * t).ravel()))).reshape(t.shape)
+            total = 2.0 * h[b] ** kappa * (head_rule.weights * smooth[:, :nh]).sum(axis=1)
+            seg_u = us[:, nh:].reshape(b.size, nsegs, m)
+            seg = (width * unit_w) * (seg_u ** (kappa - 1.0)
+                                      * smooth[:, nh:].reshape(seg_u.shape))
+            for part in seg.sum(axis=2).T:
+                total += part
+            out[b] = total
+    return out / math.gamma(kappa)
 
 
 def duality_pairing(kappa: float, f, g, x_bound: float) -> tuple[float, float]:
@@ -396,7 +432,8 @@ def duality_pairing(kappa: float, f, g, x_bound: float) -> tuple[float, float]:
     rhs = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         xs, ws = graded_panels(lo, hi, _DUAL_ORDER)
-        for xi, wi in zip(xs, ws):
+        duals = dual_chi(kappa, g, xs, support_bound=bnd)
+        for xi, wi, di in zip(xs, ws, duals.tolist()):
             lhs += wi * chi_one_var_numeric(kappa, f, xi) * float(gval(xi))
-            rhs += wi * float(fval(xi)) * dual_chi(kappa, g, xi, support_bound=bnd)
+            rhs += wi * float(fval(xi)) * di
     return lhs, rhs

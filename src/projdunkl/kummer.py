@@ -10,7 +10,8 @@ bold M is the transform kernel; M is the rank-one eigenfunction normalization.
 Over any orthogonal subsystem, the joint eigenfunction of every T_xi is a
 plane wave times one rank-one factor M per root (MultivarEigenfunction).
 At kappa = 0 both collapse to exp(z), for every z. Otherwise one evaluator
-serves the scalar and the vectorized entry points, in two regimes:
+serves the scalar entry points and the array ones (bold_M_array, and
+bold_M_on_imaginary for the transform), in two regimes:
 
 - |z| <= max(4, kappa): the series above, summed until r^n / (kappa + 1)_n,
   r the largest |z|, drops below 1e-30. No term exceeds 4^n / n! < 11, or
@@ -31,8 +32,9 @@ disk or at |arg z| <= 2 pi / 3, which holds the whole imaginary axis. At
 |arg z| <= 2 pi / 3 the relative error against the 40-digit reference stays
 below 1e-13; in the rest of the disk the series keeps its absolute error
 below 1e-14. Input outside the domain, where the fraction does not converge,
-raises ValueError, and so does a scalar call whose value overflows a double
-(kappa 0.5 at z = 1500; at kappa 170 the value there is about e^257, finite).
+raises ValueError, and so do z that is not finite and a value that
+overflows a double (kappa 0.5 at z = 1500; at kappa 170 the value there is
+about e^257, finite).
 """
 from __future__ import annotations
 
@@ -75,17 +77,24 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa = {kappa} outside the kernel domain 0 <= kappa <= 170")
 
 
-# The two regime helpers take a Python complex or a complex numpy array; the
-# only calls that differ between the two come in as exp and angle.
+# The two regime helpers take a Python complex or a complex numpy array (the
+# series also a real one); the only calls that differ between the two come in
+# as exp and angle.
 
 def _series_nonbold(kappa: float, z):
     """M_kappa(z) from its series, for |z| <= max(4, kappa)."""
     # on |z| <= kappa, |term n| <= prod_j kappa / (kappa + 1 + j) < 1e-20 once
     # n >= 12 sqrt(kappa); 70 terms also cover |z| <= 4. The sum stops sooner
     # once r^n / (kappa + 1)_n, which bounds term n for the largest |z| = r,
-    # drops below 1e-30: past their peak the terms only shrink.
-    r = abs(z) if isinstance(z, complex) else float(np.abs(z).max(initial=0.0))
-    acc = term = 1.0 + 0.0j
+    # drops below 1e-30: past their peak the terms only shrink. A real array
+    # stays real, so each of its values keeps the bits of the scalar call,
+    # whose complex arithmetic reduces to real operations there.
+    if isinstance(z, complex):
+        r, acc = abs(z), 1.0 + 0.0j
+    else:
+        r = float(np.abs(z).max(initial=0.0))
+        acc = 1.0 + 0.0j if np.iscomplexobj(z) else 1.0
+    term = acc
     bound = 1.0
     for n in range(max(70, int(12.0 * math.sqrt(kappa)))):
         term = term * z / (kappa + 1.0 + n)
@@ -195,6 +204,8 @@ def _eval(kappa: float, z: complex) -> tuple[complex, complex]:
     """(bold, nonbold) at one point."""
     _check_kappa(kappa)
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z = {z} is not finite")
     if kappa == 0:
         e = complex(np.exp(z)) if abs(z.imag) else complex(math.exp(z.real))
         return e, e
@@ -216,8 +227,12 @@ def _finite(kappa: float, z: complex, which: int) -> complex:
     except OverflowError:  # math and cmath raise where numpy gives inf
         v = complex(math.inf)
     if not cmath.isfinite(v):
-        raise ValueError(f"the kernel overflows a double at kappa = {kappa}, z = {z}")
+        raise _overflow(kappa, z)
     return v
+
+
+def _overflow(kappa: float, z) -> ValueError:
+    return ValueError(f"the kernel overflows a double at kappa = {kappa}, z = {z}")
 
 
 def kummer_M(kappa: float, z: complex) -> complex:
@@ -230,21 +245,87 @@ def bold_M(kappa: float, z: complex) -> complex:
     return _finite(kappa, z, 0)
 
 
-def bold_M_derivative(kappa: float, z: complex, n: int = 1) -> complex:
-    """n-th derivative via the shift identity
+def _bold_array(kappa: float, z: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """bold M_kappa at every point of z, inside the mask of the series disk.
+
+    No checks: the callers have made sure that every point lies in the domain.
+    """
+    if kappa == 0:
+        return np.exp(z)
+    out = np.empty(z.shape, dtype=complex)
+    if inside.any():
+        out[inside] = _series_nonbold(kappa, z[inside]) / gamma_plus_one(kappa)
+    far = ~inside
+    if far.any():
+        out[far] = _cf_bold(kappa, z[far].astype(complex, copy=False), np.exp, np.angle)
+    return out
+
+
+def bold_M_array(kappa: float, z) -> np.ndarray:
+    """bold M_kappa(z) at every point of an array z, as a complex array.
+
+    Same domain, finiteness and overflow checks as bold_M. A real array runs
+    the series in real arithmetic, so at kappa > 0 its values in the series
+    disk are those of bold_M bit for bit. Elsewhere numpy's exp and complex
+    division may round the last bit otherwise.
+    """
+    _check_kappa(kappa)
+    z = np.asarray(z)
+    z = z.astype(complex if np.iscomplexobj(z) else float, copy=False)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"z = {z[~finite][0]} is not finite")
+    inside = np.abs(z) <= _series_radius(kappa)
+    if kappa != 0:
+        off = ~inside & ~(np.abs(np.angle(z)) <= MAX_ARG)
+        if off.any():
+            raise ValueError(f"z = {z[off][0]} outside the kernel domain "
+                             "|z| <= max(4, kappa) or |arg z| <= 2 pi / 3")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _bold_array(kappa, z, inside).astype(complex, copy=False)
+    except OverflowError:  # math.exp of _cf_bold's shift, set by the largest Re z
+        raise _overflow(kappa, z.flat[np.argmax(z.real)]) from None
+    finite = np.isfinite(out)
+    if not finite.all():
+        raise _overflow(kappa, z[~finite][0])
+    return out
+
+
+def _shift_sum(kappa: float, values: Sequence, n: int):
+    """n-th derivative of bold M_kappa from values[i] = bold M_(kappa+i),
+    i = 0..n, by the shift identity
 
         (d/dz) bold M_kappa = bold M_kappa - kappa bold M_(kappa+1),
 
-    iterated: sum_i (-1)^i C(n, i) (kappa)_i bold M_(kappa+i)(z).
+    iterated: sum_i (-1)^i C(n, i) (kappa)_i bold M_(kappa+i).
     """
-    if n < 0:
-        raise ValueError("negative derivative order")
     total = 0.0 + 0.0j
     poch = 1.0
     for i in range(n + 1):
-        total += (-1) ** i * math.comb(n, i) * poch * bold_M(kappa + i, z)
+        total = total + (-1) ** i * math.comb(n, i) * poch * values[i]
         poch *= kappa + i
     return total
+
+
+def bold_M_derivative(kappa: float, z: complex, n: int = 1) -> complex:
+    """n-th derivative of bold M_kappa at one point (_shift_sum)."""
+    if n < 0:
+        raise ValueError("negative derivative order")
+    return _shift_sum(kappa, [bold_M(kappa + i, z) for i in range(n + 1)], n)
+
+
+def bold_M_jet(kappa: float, z, n: int) -> list[np.ndarray]:
+    """bold M_kappa and its first n derivatives at every point of an array z.
+
+    Entry j is the j-th derivative (_shift_sum), built from the n + 1 arrays
+    bold_M_array(kappa + i, z). At real z in the series disk, kappa > 0, each
+    entry keeps the bits of bold_M_derivative.
+    """
+    if n < 0:
+        raise ValueError("negative derivative order")
+    values = [bold_M_array(kappa + i, z) for i in range(n + 1)]
+    return [_shift_sum(kappa, values, j) for j in range(n + 1)]
 
 
 def bold_M_on_imaginary(kappa: float, y: np.ndarray) -> np.ndarray:
@@ -254,16 +335,8 @@ def bold_M_on_imaginary(kappa: float, y: np.ndarray) -> np.ndarray:
     finite = np.isfinite(y)
     if not finite.all():
         raise ValueError(f"y = {y[~finite][0]} is not finite")
-    if kappa == 0:
-        return np.exp(1j * y)
-    out = np.empty(y.shape, dtype=complex)
-    inside = np.abs(y) <= _series_radius(kappa)
-    if inside.any():
-        out[inside] = _series_nonbold(kappa, 1j * y[inside]) / gamma_plus_one(kappa)
-    far = ~inside
-    if far.any():
-        out[far] = _cf_bold(kappa, 1j * y[far], np.exp, np.angle)
-    return out
+    # the whole axis lies in the domain, and no value there overflows
+    return _bold_array(kappa, 1j * y, np.abs(y) <= _series_radius(kappa))
 
 
 # ---- rank-one eigenfunctions ---------------------------------------------------

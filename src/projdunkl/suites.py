@@ -37,6 +37,7 @@ from .kummer import (
     _series_radius,
     bold_M,
     bold_M_derivative,
+    bold_M_jet,
     eigen_multivar,
     eigen_rank_one,
     gamma_plus_one,
@@ -314,8 +315,7 @@ def suite_inverse(cfg: SuiteConfig) -> list[CheckRecord]:
         for kap in (0.5, 1.5, 2.5):
             kk = kap + float(bump)
             # kk is never an integer, so each callable sees a node array
-            derivs = [lambda t, n=n, k=kap: np.array(
-                          [bold_M_derivative(k, complex(v), n).real for v in t])
+            derivs = [lambda t, n=n, k=kap: bold_M_jet(k, t, n)[n].real
                       for n in range(4)]
             for x in (0.3, 1.0, -0.75):
                 got = chi_inverse_numeric(kk, derivs, x)

@@ -179,7 +179,7 @@ def factorization_check(f, kappa: float, lams: Sequence[float],
             ws.append(np.full_like(nodes, (hi - lo)) * weights)
     x = np.concatenate(xs)
     w = np.concatenate(ws)
-    dual_vals = np.array([dual_chi(dk, f, xi, support_bound=a) for xi in x])
+    dual_vals = dual_chi(dk, f, x, support_bound=a)
 
     direct = []
     through = []

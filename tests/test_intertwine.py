@@ -33,10 +33,10 @@ from projdunkl import (
     laplacian_direct,
     rho_poly,
 )
-from projdunkl import quadrature
+from projdunkl import intertwine, quadrature
 from projdunkl.functions import get_function
 from projdunkl.gammaratio import GammaRatio
-from projdunkl.kummer import _bold_M_reference, bold_M_derivative
+from projdunkl.kummer import _bold_M_reference, bold_M_jet
 
 
 def rv(*coords):
@@ -393,8 +393,7 @@ def test_chi_inverse_numeric_polynomial_jet():
 def test_chi_inverse_numeric_exponential_jet():
     # forward map of exp is the kernel series; its jet inverts back to exp
     kappa = 1.5
-    derivs = [lambda t, n=n: np.array([bold_M_derivative(kappa, v, n).real for v in t])
-              for n in range(3)]
+    derivs = [lambda t, n=n: bold_M_jet(kappa, t, n)[n].real for n in range(3)]
     for x in (0.5, 1.0, -0.8):
         got = chi_inverse_numeric(kappa, derivs, x)
         assert got == pytest.approx(math.exp(x), rel=1e-8)
@@ -494,6 +493,52 @@ def test_dual_chi_unit_mesh_matches_mesh_per_call(name):
             if want != 0.0:
                 worst = max(worst, abs(got - want) / abs(want))
     assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["bump", "indicator", "ind13", "gaussian"])
+def test_dual_chi_array_matches_per_point_calls(name):
+    # signed points across the support and past its end; ind13's corners
+    # inside the support give rows of one to four segments
+    g = get_function(name)
+    rng = np.random.default_rng(18)
+    a = g.support_bound
+    xs = np.exp(rng.uniform(math.log(1e-6), math.log(1.05 * a), 150))
+    xs *= rng.choice([-1.0, 1.0], xs.size)
+    for kappa in (0.37, 0.5, 2.7):
+        got = dual_chi(kappa, g, xs)
+        want = np.array([dual_chi(kappa, g, float(x)) for x in xs])
+        assert got.shape == xs.shape
+        nonzero = want != 0.0
+        assert np.array_equal(got == 0.0, ~nonzero)
+        assert np.max(np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])) <= 1e-15
+    assert isinstance(dual_chi(0.5, g, 0.5 * a), float)
+    assert dual_chi(0.5, g, xs.reshape(10, 15)).shape == (10, 15)
+
+
+def test_dual_chi_array_calls_g_once_per_block():
+    # 40 points of one layout and 10 of another: blocks of _DUAL_ROWS rows
+    g = get_function("bump")
+    calls = []
+
+    def value(t):
+        calls.append(t.size)
+        return g.value(t)
+
+    xs = np.concatenate([np.linspace(0.01, 0.45, 40), np.linspace(0.55, 0.95, 10)])
+    got = dual_chi(0.5, value, xs, support_bound=1.0)
+    rows = intertwine._DUAL_ROWS
+    assert len(calls) == math.ceil(40 / rows) + math.ceil(10 / rows)
+    assert np.array_equal(got, dual_chi(0.5, g, xs))
+
+
+def test_dual_chi_array_validation():
+    g = get_function("bump")
+    with pytest.raises(ValueError, match="away from the origin"):
+        dual_chi(0.5, g, np.array([0.3, 0.0]))
+    with pytest.raises(ValueError, match="nan"):
+        dual_chi(0.5, g, np.array([0.3, math.nan]))
+    assert np.array_equal(dual_chi(0.5, g, np.array([1.0, -2.0, math.inf])), np.zeros(3))
+    assert dual_chi(0.5, g, np.zeros((0,))).shape == (0,)
 
 
 def test_unit_mesh_table_bounded_and_read_only():

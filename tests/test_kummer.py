@@ -12,7 +12,9 @@ from projdunkl import (
     RationalVector,
     apply_T_numeric,
     bold_M,
+    bold_M_array,
     bold_M_derivative,
+    bold_M_jet,
     bold_M_on_imaginary,
     build_subsystem_A,
     build_subsystem_B,
@@ -263,6 +265,83 @@ def test_series_against_integral_regime(kappa):
     for z in zs:
         ref = _bold_M_reference(kappa, z)
         assert abs(bold_M(kappa, z) - ref) < 1e-13 * abs(ref), (kappa, z)
+
+
+@pytest.mark.parametrize("kappa", SWEEP_KAPPAS)
+def test_array_kernel_against_reference(kappa):
+    # the array entry over the same domain sweep, in one call per kappa
+    zs = np.array(SWEEP_Z + [1j * max(4.0, kappa) * f for f in (0.999, 1.001)])
+    ref = np.array([_bold_M_reference(kappa, z) for z in zs])
+    got = bold_M_array(kappa, zs)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-13
+
+
+def test_array_kernel_matches_scalar():
+    # mixed arrays across the regime switch, off the axis and on the negative
+    # reals inside the disk, each point against its own scalar call
+    rng = np.random.default_rng(19)
+    for kappa in (0.0, 0.013, 0.37, 2.7, 80.5):
+        r = max(4.0, kappa)
+        z = np.concatenate([
+            [cmath.rect(f * r, t) for f in (0.5, 0.99, 1.01, 3.0)
+             for t in (0.0, 0.4, -1.1, 0.999 * MAX_ARG, -0.999 * MAX_ARG)],
+            [-0.99 * r, -0.3, 0.0, 0.2j, -r + 0j],
+            r * np.sqrt(rng.uniform(0.0, 1.0, 60)) * np.exp(1j * rng.uniform(-3.1, 3.1, 60))])
+        if kappa == 0:
+            z = np.concatenate([z, [-40.0, -25.0 + 30.0j]])
+        got = bold_M_array(kappa, z)
+        want = np.array([bold_M(kappa, v) for v in z.tolist()])
+        assert got.dtype == complex and got.shape == z.shape
+        # numpy's complex division rounds otherwise than Python's; in the
+        # disk, where the series bounds its absolute error by 1e-14, a small
+        # value can carry that as a larger relative gap
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0)), kappa
+    # a real array inside the disk keeps the bits of the scalar path, and so
+    # does each entry of the jet built on it
+    for kappa in (0.37, 0.5, 1.5, 2.7, 19.9):
+        r = max(4.0, kappa)
+        t = rng.uniform(-r, r, 200)
+        assert np.array_equal(bold_M_array(kappa, t),
+                              [bold_M(kappa, v) for v in t.tolist()]), kappa
+        jet = bold_M_jet(kappa, t, 3)
+        for n in range(4):
+            want = [bold_M_derivative(kappa, v, n) for v in t.tolist()]
+            assert np.array_equal(jet[n], want), (kappa, n)
+    # the transform's imaginary-axis entry is the same evaluator
+    y = np.linspace(-300.0, 300.0, 601)
+    for kappa in (0.0, 0.37, 80.5):
+        assert np.array_equal(bold_M_on_imaginary(kappa, y), bold_M_array(kappa, 1j * y))
+
+
+def test_array_kernel_validation():
+    with pytest.raises(ValueError, match="domain"):
+        bold_M_array(0.5, np.array([1.0, -10.0]))
+    with pytest.raises(ValueError, match="domain"):
+        bold_M_array(0.5, np.array([2.0, cmath.rect(5.0, 2.2)]))
+    with pytest.raises(ValueError, match="domain"):
+        bold_M_array(170.5, np.array([1.0]))
+    for kappa, z in ((0.5, 1500.0), (170.0, 3000.0), (0.0, 800.0)):
+        with pytest.raises(ValueError, match="overflows"):
+            bold_M_array(kappa, np.array([1.0, z]))
+    with pytest.raises(ValueError, match="negative derivative order"):
+        bold_M_jet(0.5, np.array([1.0]), -1)
+    assert bold_M_array(0.5, np.zeros(0)).shape == (0,)
+
+
+def test_non_finite_input_is_named():
+    # the scalar entries used to call nan "outside the domain" and inf an
+    # overflow; every entry now names it
+    for kappa in (0.0, 0.5):
+        for bad in (complex(1.0, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)):
+            for fn in (bold_M, kummer_M):
+                with pytest.raises(ValueError, match="is not finite"):
+                    fn(kappa, bad)
+            with pytest.raises(ValueError, match="is not finite"):
+                bold_M_array(kappa, np.array([0.5, bad, 100.0]))
+        with pytest.raises(ValueError, match="z = nan is not finite"):
+            bold_M_array(kappa, np.array([0.5, math.nan]))
+    with pytest.raises(ValueError, match=r"^z = \(1\+nanj\) is not finite$"):
+        bold_M(0.5, complex(1.0, math.nan))
 
 
 def test_precision_validation():

@@ -176,3 +176,15 @@ def test_cli_bad_inputs_return_error(capsys):
     # M_170(1500) = Gamma(171) bold M_170(1500) ~ e^963 overflows a double
     assert main(["eval", "M", "--kappa", "170", "--z", "1500"]) == 1
     assert "overflows a double" in capsys.readouterr().err
+    # input that is not finite is named as such, not as outside the domain
+    for z in ("1+nanj", "inf", "nan"):
+        assert main(["eval", "M", "--kappa", "1/2", "--z", z]) == 1
+        assert capsys.readouterr().err.endswith("is not finite\n"), z
+
+
+def test_cli_eval_without_its_input_is_an_error(capsys):
+    assert main(["eval", "M", "--kappa", "1/2"]) == 1
+    assert capsys.readouterr().err == "error: eval M needs --z\n"
+    for kind in ("T", "chi", "EK"):
+        assert main(["eval", kind, "--kappa", "1/2"]) == 1
+        assert capsys.readouterr().err == f"error: eval {kind} needs --poly\n"
