@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run only this suite (repeatable)")
     p_verify.add_argument("--seed", type=int, default=12345)
     p_verify.add_argument("--out", help="write the JSONL report here")
-    p_verify.add_argument("--workers", type=int, default=4)
+    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--inject-fault", action="append", choices=SUITE_NAMES,
                           help="activate the designated fault of this suite "
                                "(repeatable; the suite must fail)")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .gammaratio import GammaRatio, pochhammer
 from .polycore import MPoly, _map_root_blocks, _substitute, poly_eval
-from .quadrature import _unit_panels, get_rule, graded_panels
+from .quadrature import _sliver_template, get_rule, graded_panels, legendre_rule
 from .rootgeom import (OrthogonalSubsystem, RationalVector, _as_fraction,
                        build_subsystem_coordinate)
 
@@ -268,10 +268,10 @@ def chi_inverse_one_var(p, kappa) -> GPoly:
 _EK_ORDER = 80  # Gauss-Jacobi order of the one-variable fractional integral
 _TENSOR_ORDER = 24  # per-root order of chi_numeric's tensor rule
 _DUAL_ORDER = 32  # panel order of dual_chi and duality_pairing
-# points per block of dual_chi. A row holds 64 head nodes and 864 per
-# segment, so a block of one segment holds about 7.4k nodes: the temporaries
-# of a call stay small whatever its number of points
-_DUAL_ROWS = 8
+_DUAL_DEPTH = 24  # slivers of a dual_chi segment that starts at a corner of g
+# nodes per block of dual_chi, whatever the layout of its rows: each
+# temporary of a block stays near 60 kB whatever the number of points
+_DUAL_NODES = 7424
 
 
 def erdelyi_kober_I_numeric(gamma: float, delta: float, f: Callable, x: float):
@@ -344,13 +344,22 @@ def dual_chi(kappa: float, g, x, support_bound: float | None = None):
 
     zero for |x| >= A. In the shifted variable u = t - |x| the endpoint weight
     u^(kappa-1) is absorbed on a head interval by the substitution u = h v^2;
-    the rest is integrated on panels split at the corner points advertised by
-    g and geometrically refined toward the segment ends: one cached unit
-    mesh, graded_panels(0, 1, _DUAL_ORDER), mapped onto each segment.
+    the rest is integrated on segments split at the corner points advertised
+    by g. g must be smooth up to each side of its corners, as every catalog
+    function is, so the only singular point near a segment is the weight's,
+    below its lower end: each segment is cut into four cells at the full
+    order, and the first is refined geometrically toward the lower end in
+    half-order slivers (_segment_mesh). A segment that starts at a corner
+    takes _DUAL_DEPTH of them. A first segment that starts at h = |x|, a
+    smooth point of g a distance h above the weight's singular point, takes
+    only as many as bring its innermost sliver below h / 16:
+    ceil(log2(w / (4 h))) + 4 for a segment of width w, between 0 and
+    _DUAL_DEPTH.
 
     x is a number, which gives a float, or an array, which gives an array of
-    its shape. Points with as many segments are worked together, _DUAL_ROWS
-    at a time, with one call of g on all their nodes.
+    its shape. Points with as many segments and as deep a first segment are
+    worked together, about _DUAL_NODES nodes at a time, with one call of g on
+    all the nodes of a block.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -374,6 +383,26 @@ def dual_chi(kappa: float, g, x, support_bound: float | None = None):
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
+def _segment_mesh(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1], graded toward 0 only.
+
+    Four equal cells of _DUAL_ORDER nodes; the first is split by halving
+    toward 0 into depth + 1 half-order cells, as graded_panels splits an end
+    cell. Those are [0, 2^-depth] and the outer depth slivers of the deepest
+    template, so the sliver table holds one entry for dual_chi whatever the
+    depths.
+    """
+    t, tw = _sliver_template(_DUAL_ORDER, _DUAL_DEPTH)
+    inner, inner_w = legendre_rule((_DUAL_ORDER + 1) // 2)
+    keep = t.size - depth * inner.size
+    nodes, weights = legendre_rule(_DUAL_ORDER)
+    scale = 2.0 ** -depth
+    x = np.concatenate([scale * inner, t[keep:],
+                        (np.arange(1.0, 4.0)[:, None] + nodes).ravel()])
+    w = np.concatenate([scale * inner_w, tw[keep:], np.tile(weights, 3)])
+    return x / 4.0, w / 4.0
+
+
 def _dual_live(kappa: float, value, x: np.ndarray, bound: float,
                corners: list[float]) -> np.ndarray:
     """dual_chi at points 0 < |x| < bound."""
@@ -388,30 +417,41 @@ def _dual_live(kappa: float, value, x: np.ndarray, bound: float,
     # head [0, h]: u = h v^2 trades the u^(kappa-1) weight for v^(2 kappa - 1);
     # h never exceeds |x| so the t^(-kappa) factor stays resolved
     h = np.minimum(ax, cuts[:, 0])
-    cuts = np.sort(np.where(cuts > h[:, None] * (1.0 + 1e-12), cuts, np.inf), axis=1)
+    near = h * (1.0 + 1e-12)
+    # the first segment starts at a corner where one lies at h or just above
+    at_corner = cuts[:, 0] <= near
+    cuts = np.sort(np.where(cuts > near[:, None], cuts, np.inf), axis=1)
     nseg = np.isfinite(cuts).sum(axis=1)
+    fit = np.ceil(np.log2((cuts[:, 0] - h) / (4.0 * h))) + 4.0
+    depth = np.where(at_corner, _DUAL_DEPTH,
+                     np.clip(fit, 0, _DUAL_DEPTH)).astype(int)
     head_rule = get_rule(1, 2 * _DUAL_ORDER, beta=2.0 * kappa - 1.0)
     head_v2 = head_rule.nodes**2
-    unit_x, unit_w = _unit_panels(_DUAL_ORDER)
-    nh, m = head_v2.size, unit_x.size
+    nh = head_v2.size
+    meshes = {d: _segment_mesh(d) for d in np.unique(depth).tolist() + [_DUAL_DEPTH]}
+    layout = nseg * (_DUAL_DEPTH + 1) + depth
     out = np.empty(x.shape)
-    for nsegs in np.unique(nseg).tolist():
-        rows = np.flatnonzero(nseg == nsegs)
-        for k in range(0, rows.size, _DUAL_ROWS):
-            b = rows[k:k + _DUAL_ROWS]
+    for key in np.unique(layout).tolist():
+        rows = np.flatnonzero(layout == key)
+        nsegs, d = divmod(key, _DUAL_DEPTH + 1)
+        segs = [meshes[d if j == 0 else _DUAL_DEPTH] for j in range(nsegs)]
+        stops = nh + np.cumsum([0] + [m[0].size for m in segs])
+        per_block = max(1, _DUAL_NODES // int(stops[-1]))
+        for k in range(0, rows.size, per_block):
+            b = rows[k:k + per_block]
             pts = np.concatenate([h[b, None], cuts[b, :nsegs]], axis=1)
-            lo, width = pts[:, :-1, None], np.diff(pts, axis=1)[:, :, None]
-            us = np.concatenate([h[b, None] * head_v2,
-                                 (lo + width * unit_x).reshape(b.size, -1)], axis=1)
+            width = np.diff(pts, axis=1)
+            us = np.concatenate([h[b, None] * head_v2]
+                                + [pts[:, j, None] + width[:, j, None] * m[0]
+                                   for j, m in enumerate(segs)], axis=1)
             t = us + ax[b, None]
             smooth = (t.ravel() ** (-kappa)
                       * np.asarray(value((sgn[b, None] * t).ravel()))).reshape(t.shape)
             total = 2.0 * h[b] ** kappa * (head_rule.weights * smooth[:, :nh]).sum(axis=1)
-            seg_u = us[:, nh:].reshape(b.size, nsegs, m)
-            seg = (width * unit_w) * (seg_u ** (kappa - 1.0)
-                                      * smooth[:, nh:].reshape(seg_u.shape))
-            for part in seg.sum(axis=2).T:
-                total += part
+            for j, m in enumerate(segs):
+                cell = slice(stops[j], stops[j + 1])
+                total += ((width[:, j, None] * m[1])
+                          * (us[:, cell] ** (kappa - 1.0) * smooth[:, cell])).sum(axis=1)
             out[b] = total
     return out / math.gamma(kappa)
 

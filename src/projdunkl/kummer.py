@@ -207,7 +207,9 @@ def _eval(kappa: float, z: complex) -> tuple[complex, complex]:
     if not cmath.isfinite(z):
         raise ValueError(f"z = {z} is not finite")
     if kappa == 0:
-        e = complex(np.exp(z)) if abs(z.imag) else complex(math.exp(z.real))
+        # past Re z = 709.8 the value overflows: _finite refuses the inf
+        with np.errstate(over="ignore"):
+            e = complex(np.exp(z)) if abs(z.imag) else complex(math.exp(z.real))
         return e, e
     g = gamma_plus_one(kappa)
     if abs(z) <= _series_radius(kappa):

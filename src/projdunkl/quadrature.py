@@ -12,9 +12,9 @@ sliver that is short against the distance to its singularity, and a
 geometric mesh needs the full order only away from the singular point
 (Schwab, p- and hp-Finite Element Methods, 1998, ch. 4). The slivers of one
 end cell come from one template on [0, 1] per (order, depth), held in a
-table bounded like the rule table. Callers that need the default mesh on
-many intervals map one cached unit mesh, graded_panels(0, 1, order),
-affinely onto each.
+table bounded like the rule table. dual_chi grades its segments toward one
+end only, and to a depth per segment; it takes the shallower cells from the
+deepest template, so the table holds one entry for it whatever the depths.
 """
 from __future__ import annotations
 
@@ -53,9 +53,6 @@ _cache: dict[tuple, "JacobiQuadrature"] = {}
 # sliver templates per (order, depth); the package uses three orders
 _SLIVER_CACHE_SIZE = 32
 _slivers: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-# unit meshes graded_panels(0, 1, order) per order, read-only
-_UNIT_CACHE_SIZE = 8
-_units: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _store(table: dict, key, value, size: int):
@@ -179,16 +176,3 @@ def graded_panels(a: float, b: float, order: int, max_width: float | None = None
                         last * tw[::-1]])
     return x, w
 
-
-def _unit_panels(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """graded_panels(0.0, 1.0, order), built once per order, read-only.
-
-    On [lo, hi] the mesh is lo + (hi - lo) * x with weights (hi - lo) * w.
-    """
-    mesh = _units.get(order)
-    if mesh is None:
-        mesh = graded_panels(0.0, 1.0, order)
-        for part in mesh:
-            part.flags.writeable = False
-        mesh = _store(_units, order, mesh, _UNIT_CACHE_SIZE)
-    return mesh

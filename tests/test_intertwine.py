@@ -516,7 +516,10 @@ def test_dual_chi_array_matches_per_point_calls(name):
 
 
 def test_dual_chi_array_calls_g_once_per_block():
-    # 40 points of one layout and 10 of another: blocks of _DUAL_ROWS rows
+    # bump has no corner inside its support: a point below 1/2 has the one
+    # segment [|x|, 1 - |x|], graded to a depth set by its width, and a point
+    # past 1/2 the head alone. Rows of one segment count and one depth share
+    # blocks of at most _DUAL_NODES nodes, with one call of g each
     g = get_function("bump")
     calls = []
 
@@ -524,11 +527,66 @@ def test_dual_chi_array_calls_g_once_per_block():
         calls.append(t.size)
         return g.value(t)
 
-    xs = np.concatenate([np.linspace(0.01, 0.45, 40), np.linspace(0.55, 0.95, 10)])
+    xs = np.concatenate([np.linspace(0.01, 0.45, 40), np.linspace(0.30, 0.31, 40),
+                         np.linspace(0.55, 0.95, 10)])
     got = dual_chi(0.5, value, xs, support_bound=1.0)
-    rows = intertwine._DUAL_ROWS
-    assert len(calls) == math.ceil(40 / rows) + math.ceil(10 / rows)
+    head = 2 * intertwine._DUAL_ORDER
+    near = xs[xs < 0.5]
+    fit = np.ceil(np.log2((1.0 - 2.0 * near) / (4.0 * near))) + 4
+    depths = np.clip(fit, 0, intertwine._DUAL_DEPTH).astype(int).tolist()
+    layouts = [(10, head)] + [
+        (depths.count(d), head + intertwine._segment_mesh(d)[0].size)
+        for d in sorted(set(depths))]
+    want = []
+    for nrows, row in layouts:
+        per_block = intertwine._DUAL_NODES // row
+        want += [row * min(per_block, nrows - k) for k in range(0, nrows, per_block)]
+    assert len(set(depths)) > 3 and len(want) > len(layouts)
+    assert sorted(calls) == sorted(want)
+    assert max(calls) <= intertwine._DUAL_NODES
     assert np.array_equal(got, dual_chi(0.5, g, xs))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 9, 24])
+def test_segment_mesh_grades_toward_zero_only(depth, monkeypatch):
+    # graded_panels' first cell and two middle cells at this depth, then a
+    # plain cell where graded_panels grades toward 1; every depth reads the
+    # one deepest sliver template
+    monkeypatch.setattr(quadrature, "_slivers", {})
+    order = intertwine._DUAL_ORDER
+    x, w = intertwine._segment_mesh(depth)
+    assert list(quadrature._slivers) == [(order, intertwine._DUAL_DEPTH)]
+    assert np.all(np.diff(x) > 0) and 0.0 < x[0] and x[-1] < 1.0
+    assert w.sum() == pytest.approx(1.0, rel=1e-15)
+    gx, gw = quadrature.graded_panels(0.0, 1.0, order, depth=depth)
+    kept = (depth + 1) * ((order + 1) // 2) + 2 * order
+    assert x.size == kept + order
+    assert np.array_equal(x[:kept], gx[:kept]) and np.array_equal(w[:kept], gw[:kept])
+    nodes, weights = quadrature.legendre_rule(order)
+    assert np.array_equal(x[kept:], 0.75 + 0.25 * nodes)
+    assert np.array_equal(w[kept:], 0.25 * weights)
+
+
+def test_dual_chi_nodes_on_the_factorization_mesh(monkeypatch):
+    # the 960 dual points of factorization_check on bump took 849,408 nodes
+    # with every segment graded toward both ends at full depth
+    from projdunkl import transform
+
+    bump = get_function("bump")
+    seen = []
+    monkeypatch.setattr(transform, "dual_chi",
+                        lambda kappa, f, x, support_bound: seen.append(x) or np.zeros(x.shape))
+    transform.factorization_check(bump, 0.5, [0.5])
+    (xs,) = seen
+    nodes = []
+
+    def value(t):
+        nodes.append(t.size)
+        return bump.value(t)
+
+    got = dual_chi(0.5, value, xs, support_bound=bump.support_bound)
+    assert xs.size == 960 and sum(nodes) <= 360_000
+    assert np.array_equal(got, dual_chi(0.5, bump, xs))
 
 
 def test_dual_chi_array_validation():
@@ -539,18 +597,6 @@ def test_dual_chi_array_validation():
         dual_chi(0.5, g, np.array([0.3, math.nan]))
     assert np.array_equal(dual_chi(0.5, g, np.array([1.0, -2.0, math.inf])), np.zeros(3))
     assert dual_chi(0.5, g, np.zeros((0,))).shape == (0,)
-
-
-def test_unit_mesh_table_bounded_and_read_only():
-    for order in range(1, quadrature._UNIT_CACHE_SIZE + 6):
-        x, w = quadrature._unit_panels(order)
-        want_x, want_w = quadrature.graded_panels(0.0, 1.0, order)
-        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
-        assert len(quadrature._units) <= quadrature._UNIT_CACHE_SIZE
-        assert quadrature._unit_panels(order) is quadrature._units[order]
-        for part in (x, w):
-            with pytest.raises(ValueError):
-                part[0] = 0.5
 
 
 @pytest.mark.parametrize("kappa", [0.37, 0.5, 1.3, 2.7])

@@ -1,6 +1,7 @@
 """Confluent kernel regimes, eigenfunctions, and the spectral identities."""
 import cmath
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -376,6 +377,19 @@ def test_kernel_past_exp_overflow():
             bold_M(kappa, z)
     with pytest.raises(ValueError, match="overflows"):
         kummer_M(170.0, 1500.0)  # Gamma(171) bold M_170(1500) ~ e^963
+
+
+
+def test_kappa_zero_overflow_off_the_real_axis():
+    # past Re z = 709.8, e^z overflows whatever Im z is: the same error as on
+    # the real axis, and no RuntimeWarning from numpy on the way
+    for z in (800.0 + 1.0j, 800.0 - 1.0j, 1e5 + 3.0j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                bold_M(0.0, z)
+            with pytest.raises(ValueError, match="overflows"):
+                kummer_M(0.0, z)
 
 
 # ---- rank-one eigenfunctions ----
