@@ -14,6 +14,7 @@ one root at a time; orthogonality makes the per-root factors commute.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -24,7 +25,7 @@ import numpy as np
 
 from .gammaratio import GammaRatio, pochhammer
 from .polycore import MPoly, _map_root_blocks, _substitute, poly_eval
-from .quadrature import _sliver_template, get_rule, graded_panels, legendre_rule
+from .quadrature import get_rule, graded_panels
 from .rootgeom import (OrthogonalSubsystem, RationalVector, _as_fraction,
                        build_subsystem_coordinate)
 
@@ -265,7 +266,8 @@ def chi_inverse_one_var(p, kappa) -> GPoly:
 
 # ---- numeric layer -------------------------------------------------------------
 
-_EK_ORDER = 80  # Gauss-Jacobi order of the one-variable fractional integral
+_END_ORDER = 12  # nodes a cell of the graded end rules of the fractional integrals
+_END_DEPTH = 4  # slivers of those rules
 _TENSOR_ORDER = 24  # per-root order of chi_numeric's tensor rule
 _DUAL_ORDER = 32  # panel order of dual_chi and duality_pairing
 _DUAL_DEPTH = 24  # slivers of a dual_chi segment that starts at a corner of g
@@ -274,44 +276,66 @@ _DUAL_DEPTH = 24  # slivers of a dual_chi segment that starts at a corner of g
 _DUAL_NODES = 7424
 
 
+def _require_finite(**values) -> None:
+    for name, v in values.items():
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name} = {v} is not finite")
+
+
 def erdelyi_kober_I_numeric(gamma: float, delta: float, f: Callable, x: float):
     """(1 / Gamma(delta)) integral_0^1 (1-t)^(delta-1) t^gamma f(t x) dt.
 
-    f takes numpy arrays and is called once, on the rule's nodes; delta = 0
-    is the identity. The result is real exactly when its imaginary part is 0.
+    [0, 1] is split at t = 1/2, and each half takes the graded end rule of
+    its own weight: get_rule in t for t^gamma, in 1 - t for (1-t)^(delta-1).
+    f takes numpy arrays and is called once, on the 120 nodes of both halves;
+    delta = 0 is the identity. The result is real exactly when its imaginary
+    part is 0.
     """
+    _require_finite(gamma=gamma, delta=delta, x=x)
     if delta == 0:
         return f(x)
-    rule = get_rule(delta, _EK_ORDER, beta=gamma)
-    v = rule.integrate(lambda t: f(t * x)) / math.gamma(delta)
+    gamma, delta = float(gamma), float(delta)
+    s, ws = get_rule(_END_ORDER, _END_DEPTH, gamma)
+    r, wr = get_rule(_END_ORDER, _END_DEPTH, delta - 1.0)
+    t = np.concatenate([s / 2.0, 1.0 - r / 2.0])
+    w = np.concatenate([2.0 ** -(gamma + 1.0) * ws * (1.0 - s / 2.0) ** (delta - 1.0),
+                        2.0 ** -delta * wr * (1.0 - r / 2.0) ** gamma])
+    v = complex(np.dot(w, np.broadcast_to(f(t * x), t.shape))) / math.gamma(delta)
     return v.real if v.imag == 0 else v
 
 
 def chi_one_var_numeric(kappa: float, f, x: float):
     """Unscaled one-variable forward map, the fractional integral of order kappa.
 
-    kappa = 0 is the identity. On f(t) = e^t and e^(i t) the image is the
-    kernel, bold M_kappa(x) and bold M_kappa(i x); against its 40-digit
-    reference the relative error for x in [-2.5, 2.5] stays below 1e-11 at
-    kappa 0.05, 5e-12 at 0.13, 5e-13 at 0.37-0.5 and 5e-14 from 0.75 up.
+    kappa = 0 is the identity. On f(t) = e^(c t) the image is the kernel
+    bold M_kappa(c x) = 1F1(1; kappa + 1; c x) / Gamma(kappa + 1); against
+    its 40-digit value the relative error for x in [-2.5, 2.5] and kappa
+    from 0.05 to 2.7 stays below 4e-15 at c = 1 and i (measured 1.1e-15) and
+    below 2e-14 at c up to 8i (measured 6.1e-15).
     """
     value = f.value if hasattr(f, "value") else f
     return erdelyi_kober_I_numeric(0, kappa, value, x)
 
 
 def chi_numeric(subsystem: OrthogonalSubsystem, f, x):
-    """Tensor-quadrature forward map; cost grows as _TENSOR_ORDER ** nroots."""
+    """Tensor-quadrature forward map; cost grows as _TENSOR_ORDER ** nroots.
+
+    Each root takes the Gauss-Jacobi rule of its weight in s = 1 - t_j.
+    """
     value = f.value if hasattr(f, "value") else f
+    if not all(cmath.isfinite(v) for v in x):
+        raise ValueError(f"x = {list(x)} is not a finite point")
     rules = []
     for kappa in subsystem.kappas:
         if kappa <= 0:
             raise ValueError("numeric forward map needs kappa > 0 on every root")
-        rules.append(get_rule(kappa, _TENSOR_ORDER))
+        s, w = get_rule(_TENSOR_ORDER, 0, float(kappa) - 1.0)
+        rules.append((1.0 - s, w))
     total = 0.0
     norm = math.prod(math.gamma(float(k)) for k in subsystem.kappas)
     for idx in iter_product(range(_TENSOR_ORDER), repeat=len(rules)):
-        t = [rules[j].nodes[i] for j, i in enumerate(idx)]
-        w = math.prod(rules[j].weights[i] for j, i in enumerate(idx))
+        t = [rules[j][0][i] for j, i in enumerate(idx)]
+        w = math.prod(rules[j][1][i] for j, i in enumerate(idx))
         total = total + w * value(h_map(subsystem, t, x))
     return total / norm
 
@@ -325,6 +349,7 @@ def chi_inverse_numeric(kappa: float, derivs: Sequence[Callable], x: float):
     integral sign, is erdelyi_kober_I_numeric(kappa + r, n - kappa, derivs[r],
     x); the Euler factors (k + x d/dx), k = 1..n, run the jet down to a value.
     """
+    _require_finite(kappa=kappa)
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     n = math.ceil(kappa)
@@ -343,24 +368,31 @@ def dual_chi(kappa: float, g, x, support_bound: float | None = None):
         (1 / Gamma(kappa)) integral_|x|^A (t - |x|)^(kappa-1) t^(-kappa) g(sgn(x) t) dt,
 
     zero for |x| >= A. In the shifted variable u = t - |x| the endpoint weight
-    u^(kappa-1) is absorbed on a head interval by the substitution u = h v^2;
-    the rest is integrated on segments split at the corner points advertised
-    by g. g must be smooth up to each side of its corners, as every catalog
-    function is, so the only singular point near a segment is the weight's,
-    below its lower end: each segment is cut into four cells at the full
-    order, and the first is refined geometrically toward the lower end in
-    half-order slivers (_segment_mesh). A segment that starts at a corner
-    takes _DUAL_DEPTH of them. A first segment that starts at h = |x|, a
-    smooth point of g a distance h above the weight's singular point, takes
-    only as many as bring its innermost sliver below h / 16:
-    ceil(log2(w / (4 h))) + 4 for a segment of width w, between 0 and
-    _DUAL_DEPTH.
+    u^(kappa-1) is taken on a head interval [0, h] by the graded end rule
+    get_rule(_END_ORDER, _END_DEPTH, kappa - 1) scaled onto it, where h is
+    the smaller of |x| and half the first cut, the first corner of g or the
+    support end. The rest is integrated on segments from h to that cut and
+    between the cuts. g must be smooth up to each side of its corners, as
+    every catalog function is, so the only singular point near a segment is
+    the weight's, below its lower end: each segment is cut into four cells at
+    the full order, and the first is refined geometrically toward the lower
+    end in half-order slivers (_segment_mesh). A segment that starts at a
+    corner takes _DUAL_DEPTH of them. The first segment starts at h, a smooth
+    point of g a distance h above the weight's singular point, and takes only
+    as many as bring its innermost sliver below h / 16: ceil(log2(w / (4 h)))
+    + 4 for a segment of width w, between 0 and _DUAL_DEPTH.
+
+    Against 30-digit mpmath values on the catalog functions, for kappa from
+    0.05 to 2.7 at 417 points, the relative error was at most 4.1e-15 at
+    |x| < A/2 and 9.0e-14 from |x| = A/2 on, where a g flat at its support
+    end, like bump, loses digits in its own evaluation.
 
     x is a number, which gives a float, or an array, which gives an array of
     its shape. Points with as many segments and as deep a first segment are
     worked together, about _DUAL_NODES nodes at a time, with one call of g on
     all the nodes of a block.
     """
+    _require_finite(kappa=kappa)
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     xs = np.asarray(x, dtype=float)
@@ -389,13 +421,14 @@ def _segment_mesh(depth: int) -> tuple[np.ndarray, np.ndarray]:
     Four equal cells of _DUAL_ORDER nodes; the first is split by halving
     toward 0 into depth + 1 half-order cells, as graded_panels splits an end
     cell. Those are [0, 2^-depth] and the outer depth slivers of the deepest
-    template, so the sliver table holds one entry for dual_chi whatever the
-    depths.
+    graded rule, so the rule table holds one graded rule for dual_chi
+    whatever the depths.
     """
-    t, tw = _sliver_template(_DUAL_ORDER, _DUAL_DEPTH)
-    inner, inner_w = legendre_rule((_DUAL_ORDER + 1) // 2)
+    half = (_DUAL_ORDER + 1) // 2
+    t, tw = get_rule(half, _DUAL_DEPTH)
+    inner, inner_w = get_rule(half)
     keep = t.size - depth * inner.size
-    nodes, weights = legendre_rule(_DUAL_ORDER)
+    nodes, weights = get_rule(_DUAL_ORDER)
     scale = 2.0 ** -depth
     x = np.concatenate([scale * inner, t[keep:],
                         (np.arange(1.0, 4.0)[:, None] + nodes).ravel()])
@@ -414,20 +447,15 @@ def _dual_live(kappa: float, value, x: np.ndarray, bound: float,
     cand = sgn[:, None] * np.array(corners) - ax[:, None]
     cuts = np.where((cand > 0.0) & (cand < span[:, None]), cand, np.inf)
     cuts = np.sort(np.concatenate([span[:, None], cuts], axis=1), axis=1)
-    # head [0, h]: u = h v^2 trades the u^(kappa-1) weight for v^(2 kappa - 1);
-    # h never exceeds |x| so the t^(-kappa) factor stays resolved
-    h = np.minimum(ax, cuts[:, 0])
-    near = h * (1.0 + 1e-12)
-    # the first segment starts at a corner where one lies at h or just above
-    at_corner = cuts[:, 0] <= near
-    cuts = np.sort(np.where(cuts > near[:, None], cuts, np.inf), axis=1)
+    # head [0, h]: one graded rule on the weight u^(kappa-1), scaled onto
+    # [0, h]. h is at most |x| and half the first cut, so the singular points
+    # of t^(-kappa) and of g lie at least h away from the head
+    h = np.minimum(ax, cuts[:, 0] / 2.0)
     nseg = np.isfinite(cuts).sum(axis=1)
     fit = np.ceil(np.log2((cuts[:, 0] - h) / (4.0 * h))) + 4.0
-    depth = np.where(at_corner, _DUAL_DEPTH,
-                     np.clip(fit, 0, _DUAL_DEPTH)).astype(int)
-    head_rule = get_rule(1, 2 * _DUAL_ORDER, beta=2.0 * kappa - 1.0)
-    head_v2 = head_rule.nodes**2
-    nh = head_v2.size
+    depth = np.clip(fit, 0, _DUAL_DEPTH).astype(int)
+    head_s, head_w = get_rule(_END_ORDER, _END_DEPTH, kappa - 1.0)
+    nh = head_s.size
     meshes = {d: _segment_mesh(d) for d in np.unique(depth).tolist() + [_DUAL_DEPTH]}
     layout = nseg * (_DUAL_DEPTH + 1) + depth
     out = np.empty(x.shape)
@@ -441,13 +469,13 @@ def _dual_live(kappa: float, value, x: np.ndarray, bound: float,
             b = rows[k:k + per_block]
             pts = np.concatenate([h[b, None], cuts[b, :nsegs]], axis=1)
             width = np.diff(pts, axis=1)
-            us = np.concatenate([h[b, None] * head_v2]
+            us = np.concatenate([h[b, None] * head_s]
                                 + [pts[:, j, None] + width[:, j, None] * m[0]
                                    for j, m in enumerate(segs)], axis=1)
             t = us + ax[b, None]
             smooth = (t.ravel() ** (-kappa)
                       * np.asarray(value((sgn[b, None] * t).ravel()))).reshape(t.shape)
-            total = 2.0 * h[b] ** kappa * (head_rule.weights * smooth[:, :nh]).sum(axis=1)
+            total = h[b] ** kappa * (head_w * smooth[:, :nh]).sum(axis=1)
             for j, m in enumerate(segs):
                 cell = slice(stops[j], stops[j + 1])
                 total += ((width[:, j, None] * m[1])

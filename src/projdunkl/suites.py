@@ -54,7 +54,7 @@ from .opengine import (
 )
 from .polycore import MPoly, directional_derivative, partial_derivative
 from .prng import SplitMix64
-from .quadrature import get_rule
+from .quadrature import get_rule, graded_panels
 from .rootgeom import (
     OrthogonalSubsystem,
     RationalVector,
@@ -382,16 +382,20 @@ def suite_kummer(cfg: SuiteConfig) -> list[CheckRecord]:
 
     def derivative_cross():
         # shift identity against the weighted-rule form of the same
-        # derivative, d/dz bold M = (2 e^z / Gamma(kappa)) *
-        # integral_0^1 (1 - u^2) u^(2 kappa - 1) e^(-z u^2) du
+        # derivative, d/dz bold M = (e^z / Gamma(kappa)) *
+        # integral_0^1 v^(kappa - 1) (1 - v) e^(-z v) dv: the graded end rule
+        # on [0, c] and panels two periods of e^(-z v) wide on [c, 1]
         for kap in (0.5, 1.5):
-            rule = get_rule(1, 160, beta=2.0 * kap - 1.0)
-            sq = rule.nodes**2
+            s, ws = get_rule(12, 4, kap - 1.0)
             for y in (3.0, 12.0, 40.0):
+                two_periods = 4.0 * math.pi / y
+                c = min(1.0, two_periods) / 2.0
+                px, pw = graded_panels(c, 1.0, 24, max_width=two_periods)
+                v = np.concatenate([c * s, px])
+                w = np.concatenate([c ** kap * ws, pw * px ** (kap - 1.0)])
                 via_shift = bold_M_derivative(kap, 1j * y, 1)
-                vals = (1.0 - sq) * np.exp(-1j * y * sq)
-                via_rule = (2.0 * np.exp(1j * y)
-                            * rule.integrate_values(vals) / math.gamma(kap))
+                via_rule = (np.exp(1j * y) * complex(np.dot(w, (1.0 - v) * np.exp(-1j * y * v)))
+                            / math.gamma(kap))
                 if abs(via_shift - via_rule) > 1e-12:
                     return (f"derivative mismatch {abs(via_shift - via_rule):.3e} "
                             f"at kappa={kap}, z={y}i")

@@ -29,7 +29,7 @@ from scipy.special import digamma
 from .functions import TestFunction, get_function
 from .intertwine import dual_chi
 from .kummer import bold_M_on_imaginary, gamma_plus_one
-from .quadrature import _cell_count, _store, graded_panels, legendre_rule
+from .quadrature import _cell_count, _store, get_rule, graded_panels
 
 _PANEL_ORDER = 24
 _SUP_SLACK = 1e-9  # rounding allowance of sup_norm_bound_check
@@ -170,7 +170,7 @@ def factorization_check(f, kappa: float, lams: Sequence[float],
     n = max(1, math.ceil(math.log(a / xmin) / math.log(2.0)))
     pos_edges = a * (0.5 ** np.arange(n + 1))
     pos_edges[-1] = xmin
-    nodes, weights = legendre_rule(_PANEL_ORDER)
+    nodes, weights = get_rule(_PANEL_ORDER)
     xs = []
     ws = []
     for hi, lo in zip(pos_edges[:-1], pos_edges[1:]):

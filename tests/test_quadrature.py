@@ -1,4 +1,4 @@
-"""Cached Gauss-Jacobi rules and the graded composite mesh."""
+"""The graded rule builder and the graded composite mesh."""
 import math
 import sys
 import threading
@@ -8,13 +8,21 @@ import numpy as np
 import pytest
 
 from projdunkl import quadrature
-from projdunkl.quadrature import (
-    MAX_ORDER,
-    JacobiQuadrature,
-    get_rule,
-    graded_panels,
-    legendre_rule,
-)
+from projdunkl.quadrature import get_rule, graded_panels
+
+
+@pytest.mark.parametrize("power", [-0.95, -0.5, 0.0, 0.5, 2.0])
+def test_rule_moments(power):
+    # integral_0^1 s^(power + k) ds = 1 / (power + k + 1). At power -0.95
+    # scipy's 12-node Jacobi cell is off by 1.5e-13 on every moment above the
+    # zeroth; on [0, 2^-depth] that error is scaled down by 2^-(depth k)
+    for depth, rel in ((0, 5e-13), (4, 2e-14), (24, 2e-14)):
+        s, w = get_rule(12, depth, power)
+        assert s.size == 12 * (depth + 1) and np.all(np.diff(s) > 0)
+        assert 0.0 < s[0] and s[-1] < 1.0
+        for k in range(24):
+            got = float(np.dot(w, s ** k))
+            assert got == pytest.approx(1.0 / (power + k + 1), rel=rel), (depth, k)
 
 
 def beta_moment(kappa, beta, k):
@@ -26,55 +34,77 @@ def beta_moment(kappa, beta, k):
 @pytest.mark.parametrize("kappa,beta", [(F(1, 2), 0), (1, 0), (F(5, 2), 0),
                                         (1, F(1, 2)), (F(3, 2), 2)])
 def test_moments_match_beta_function(kappa, beta):
-    rule = get_rule(kappa, 40, beta=beta)
+    # the weight t^beta (1-t)^(kappa-1) of the fractional integrals: [0, 1]
+    # split at 1/2, each half on the graded rule toward its own end
+    kappa, beta = float(kappa), float(beta)
+    s, ws = get_rule(12, 4, beta)
+    r, wr = get_rule(12, 4, kappa - 1.0)
+    t = np.concatenate([s / 2.0, 1.0 - r / 2.0])
+    w = np.concatenate([2.0 ** -(beta + 1.0) * ws * (1.0 - s / 2.0) ** (kappa - 1.0),
+                        2.0 ** -kappa * wr * (1.0 - r / 2.0) ** beta])
     for k in range(0, 20, 3):
-        got = float(np.dot(rule.weights, rule.nodes ** k))
-        want = beta_moment(float(kappa), float(beta), k)
-        assert got == pytest.approx(want, rel=1e-13)
+        got = float(np.dot(w, t ** k))
+        assert got == pytest.approx(beta_moment(kappa, beta, k), rel=1e-14)
 
 
 def test_rule_is_exact_on_polynomials():
-    # order n integrates degree 2n - 1 exactly
-    rule = get_rule(F(1, 2), 6)
-    got = float(np.dot(rule.weights, rule.nodes ** 11))
-    assert got == pytest.approx(beta_moment(0.5, 0.0, 11), rel=1e-14)
+    # n nodes integrate s^power times degree 2n - 1 exactly
+    s, w = get_rule(6, 0, -0.5)
+    got = float(np.dot(w, s ** 11))
+    assert got == pytest.approx(1.0 / 11.5, rel=1e-14)
 
 
-def test_float_kappa_accepted():
-    # numeric layers pass plain floats; binary floats are exact fractions
-    a = get_rule(0.5, 12)
-    b = get_rule(F(1, 2), 12)
-    assert a is b
-    # a string spelling finds the same rule, for kappa and beta alike
-    assert get_rule("1/2", 12) is a
-    rule = get_rule(F(3, 4), 18, beta=F(1, 2))
-    assert get_rule(0.75, 18, beta=0.5) is get_rule("3/4", 18, beta="1/2") is rule
+def test_legendre_rule_unit_interval():
+    # get_rule(n) is the n-node Gauss-Legendre rule on [0, 1]; at n = 16
+    # scipy's weights are up to 1.2e-15 off a 40-digit rule, numpy's 2e-16
+    nodes, weights = get_rule(16)
+    x, w = np.polynomial.legendre.leggauss(16)
+    assert np.allclose(nodes, (x + 1.0) / 2.0, rtol=0, atol=2e-16)
+    assert np.allclose(weights, w / 2.0, rtol=0, atol=2e-15)
+    assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-15)
+    # odd moment about the midpoint vanishes by symmetry
+    assert float(np.dot(weights, (nodes - 0.5) ** 3)) == pytest.approx(0.0, abs=1e-17)
+
+
+@pytest.mark.parametrize("n", [12, 16, 32])
+def test_power_zero_rule_is_the_end_cell_of_graded_panels(n):
+    # the Legendre cell [0, 2^-depth] and slivers [2^-(k+1), 2^-k], built as
+    # graded_panels built its sliver template, bit for bit
+    nodes, weights = get_rule(n)
+    for depth in (0, 1, 4, 24):
+        edges = np.concatenate([[0.0], 2.0 ** -np.arange(depth, -1, -1)])
+        widths = np.diff(edges)
+        want_s = (edges[:-1, None] + widths[:, None] * nodes).ravel()
+        want_w = (widths[:, None] * weights).ravel()
+        s, w = get_rule(n, depth)
+        assert np.array_equal(s, want_s) and np.array_equal(w, want_w)
+        # graded_panels at order 2n on [0, 4] has the end cell [0, 1]
+        x, xw = graded_panels(0.0, 4.0, 2 * n, depth=depth)
+        assert np.array_equal(x[:s.size], s) and np.array_equal(xw[:s.size], w)
 
 
 def test_validation():
-    with pytest.raises(ValueError, match="integrable"):
-        JacobiQuadrature(F(0), 10)
-    with pytest.raises(ValueError, match="integrable"):
-        JacobiQuadrature(1, 10, beta=-1)
-    with pytest.raises(ValueError, match="order"):
-        JacobiQuadrature(1, 0)
-    with pytest.raises(ValueError, match="order"):
-        JacobiQuadrature(1, MAX_ORDER + 1)
-    with pytest.raises(TypeError):
-        get_rule(object(), 10)
+    for power in (math.nan, -1.0, -1.5, math.inf):
+        with pytest.raises(ValueError, match=f"power = {power}"):
+            get_rule(12, 4, power)
+    with pytest.raises(ValueError, match="n = 0"):
+        get_rule(0)
+    with pytest.raises(ValueError, match="depth = -1"):
+        get_rule(12, -1)
 
 
-def test_integrate_callable_and_values():
-    rule = get_rule(1, 30)
-    assert complex(rule.integrate(lambda t: t * 0 + 1)).real == pytest.approx(1.0, rel=1e-14)
-    vals = np.exp(rule.nodes)
-    assert rule.integrate_values(vals).real == pytest.approx(math.e - 1, rel=1e-14)
+def test_rules_are_read_only():
+    s, w = get_rule(12, 4, 0.25)
+    with pytest.raises(ValueError):
+        s[0] = 0.5
+    with pytest.raises(ValueError):
+        w[0] = 0.5
 
 
 def test_cache_identity_and_threading():
     # threads that miss together must still share one rule per key; a short
     # switch interval makes them interleave inside get_rule
-    keys = [(F(3, 2), 25)] + [(F(k, 89), 7) for k in range(1, 25)]
+    keys = [(25, 3, 0.5)] + [(7, 2, k / 89 - 1.0) for k in range(1, 25)]
     rules = []
 
     def grab():
@@ -97,23 +127,29 @@ def test_cache_identity_and_threading():
 def test_cache_stays_bounded(monkeypatch):
     # a private table, so the shared one is left as the other tests expect it
     monkeypatch.setattr(quadrature, "_cache", {})
-    first = get_rule(F(1, 997), 3)
+    first = get_rule(3, 2, 1 / 997 - 1.0)
     for k in range(1, quadrature._CACHE_SIZE + 40):
-        get_rule(F(k, 991), 3)
+        get_rule(3, 2, k / 991 - 1.0)
         assert len(quadrature._cache) <= quadrature._CACHE_SIZE
     # the oldest rule went first and is rebuilt on the next lookup
-    again = get_rule(F(1, 997), 3)
+    again = get_rule(3, 2, 1 / 997 - 1.0)
     assert again is not first
-    assert np.array_equal(again.nodes, first.nodes)
-    assert get_rule(F(1, 997), 3) is again
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
+    assert get_rule(3, 2, 1 / 997 - 1.0) is again
 
 
-def test_legendre_rule_unit_interval():
-    nodes, weights = legendre_rule(16)
-    assert np.all((nodes > 0) & (nodes < 1))
-    assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-15)
-    # odd moment about the midpoint vanishes by symmetry
-    assert float(np.dot(weights, (nodes - 0.5) ** 3)) == pytest.approx(0.0, abs=1e-17)
+def test_sliver_templates_stay_bounded(monkeypatch):
+    # graded_panels keeps its slivers in the one rule table, keyed by depth;
+    # many depths must not grow it past its bound
+    monkeypatch.setattr(quadrature, "_cache", {})
+    first = get_rule(12, 3)
+    for depth in range(4, 4 + quadrature._CACHE_SIZE + 10):
+        graded_panels(0.0, 1.0, 24, depth=depth)
+        assert len(quadrature._cache) <= quadrature._CACHE_SIZE
+    again = get_rule(12, 3)
+    assert again is not first
+    assert all(np.array_equal(a, b) for a, b in zip(again, first))
+    assert get_rule(12, 3) is again
 
 
 def test_graded_panels_weights_sum_to_length():
@@ -156,16 +192,3 @@ def test_graded_panels_half_order_slivers():
                        rtol=0, atol=1e-15)
     # 12 nodes integrate degree 23 exactly, so degree 11 is exact on every cell
     assert float(np.dot(w, (x + 1.0) ** 11)) == pytest.approx(4.0 ** 12 / 12, rel=1e-13)
-
-
-def test_sliver_templates_stay_bounded(monkeypatch):
-    # a private table, so the shared one is left as the other tests expect it
-    monkeypatch.setattr(quadrature, "_slivers", {})
-    first = quadrature._sliver_template(24, 3)
-    for depth in range(4, 4 + quadrature._SLIVER_CACHE_SIZE + 10):
-        graded_panels(0.0, 1.0, 24, depth=depth)
-        assert len(quadrature._slivers) <= quadrature._SLIVER_CACHE_SIZE
-    again = quadrature._sliver_template(24, 3)
-    assert again is not first
-    assert all(np.array_equal(a, b) for a, b in zip(again, first))
-    assert quadrature._sliver_template(24, 3) is again
