@@ -17,13 +17,9 @@ from .rootgeom import (
     reflect,
 )
 from .polycore import (
-    LinearMap,
     MPoly,
     classical_dunkl,
-    compose_linear,
     directional_derivative,
-    divided_difference,
-    exact_div_linear,
     partial_derivative,
     poly_eval,
     reflection_difference,
@@ -89,8 +85,7 @@ __all__ = [
     "OrthogonalSubsystem", "RationalVector", "XiDecomposition",
     "build_subsystem_A", "build_subsystem_B", "build_subsystem_coordinate",
     "decompose_xi", "project", "reflect",
-    "LinearMap", "MPoly", "classical_dunkl", "compose_linear",
-    "directional_derivative", "divided_difference", "exact_div_linear",
+    "MPoly", "classical_dunkl", "directional_derivative",
     "partial_derivative", "poly_eval", "reflection_difference",
     "GammaRatio", "pochhammer",
     "TestFunction", "catalog", "get_function",

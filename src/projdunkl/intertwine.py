@@ -10,7 +10,10 @@ wall:
 It turns plain directional derivatives into the projection-difference
 operator. On polynomials the scaled variant (multiplied by prod
 Gamma(kappa_j + 1)) has rational coefficients and is computed exactly,
-one root at a time; orthogonality makes the per-root factors commute.
+one root at a time; orthogonality makes the per-root factors commute. Each
+factor is the moment sequence u^j -> kappa_j / (kappa_j + j), u = 1 - t_j,
+on polycore's expansion of a block monomial along the segment from x to
+the wall.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gammaratio import GammaRatio, pochhammer
-from .polycore import MPoly, _map_root_blocks, _substitute, poly_eval
+from .polycore import MPoly, _map_root_blocks, _segment_average, poly_eval
 from .quadrature import get_rule, graded_panels
 from .rootgeom import (OrthogonalSubsystem, RationalVector, _as_fraction,
                        build_subsystem_coordinate)
@@ -126,42 +129,11 @@ def h_map(subsystem: OrthogonalSubsystem, t: Sequence, x):
 def _chi_block(alpha_entries: tuple, kappa: Fraction, exps: tuple) -> MPoly:
     """Scaled per-root average of a block monomial.
 
-    Variables are the root's support coordinates; the average replaces the
-    component along alpha by t times itself and integrates t against the
-    scaled weight, sending t^k to k! / (kappa + 1)_k.
+    Variables are the root's support coordinates. With t_j = 1 - u the
+    average runs along the segment from x toward the wall against the scaled
+    weight kappa u^(kappa - 1) on [0, 1], which sends u^j to kappa / (kappa + j).
     """
-    nb = len(exps)
-    alpha = RationalVector(alpha_entries)
-    s = alpha.norm_sq()
-    next_ring = nb + 1  # block variables plus t in the last slot
-    images = []
-    for i in range(nb):
-        img = {}
-        for j in range(nb):
-            along = alpha[i] * alpha[j] / s
-            e = [0] * next_ring
-            e[j] = 1
-            img[tuple(e)] = (1 if i == j else 0) - along
-            e[nb] = 1
-            img[tuple(e)] = along
-        images.append(MPoly(next_ring, img))
-    expanded = _substitute(MPoly.monomial(exps), images)
-    # with kappa = a/b, k! / (kappa + 1)_k = k! b^k / prod_{1<=j<=k} (a + j b);
-    # over the denominator of the top t-degree K that is the numerator
-    # k! b^k prod_{k<j<=K} (a + j b)
-    a, b = kappa.numerator, kappa.denominator
-    top = sum(exps)
-    scale = [0] * (top + 1)
-    common = 1
-    for k in range(top, 0, -1):
-        scale[k] = math.factorial(k) * b ** k * common
-        common *= a + k * b
-    scale[0] = common
-    out: dict[tuple[int, ...], int] = {}
-    for e, c in expanded.num.items():
-        key = e[:nb]
-        out[key] = out.get(key, 0) + c * scale[e[nb]]
-    return MPoly._from_parts(nb, out, expanded.den * common)
+    return _segment_average(alpha_entries, exps, lambda j: kappa / (kappa + j))
 
 
 def _chi_root_step(p: MPoly, alpha: RationalVector, kappa: Fraction) -> MPoly:
@@ -278,18 +250,19 @@ _DUAL_NODES = 7424
 
 def _require_finite(**values) -> None:
     for name, v in values.items():
-        if not cmath.isfinite(v):
+        if not (np.isfinite(v).all() if np.ndim(v) else cmath.isfinite(v)):
             raise ValueError(f"{name} = {v} is not finite")
 
 
-def erdelyi_kober_I_numeric(gamma: float, delta: float, f: Callable, x: float):
+def erdelyi_kober_I_numeric(gamma: float, delta: float, f: Callable, x):
     """(1 / Gamma(delta)) integral_0^1 (1-t)^(delta-1) t^gamma f(t x) dt.
 
     [0, 1] is split at t = 1/2, and each half takes the graded end rule of
     its own weight: get_rule in t for t^gamma, in 1 - t for (1-t)^(delta-1).
-    f takes numpy arrays and is called once, on the 120 nodes of both halves;
-    delta = 0 is the identity. The result is real exactly when its imaginary
-    part is 0.
+    f takes numpy arrays and is called once, on the outer grid of the points
+    by the 120 nodes of both halves; delta = 0 is the identity. x is a
+    number, which gives a number, or an array, which gives an array of its
+    shape. The result is real exactly when its imaginary part is 0.
     """
     _require_finite(gamma=gamma, delta=delta, x=x)
     if delta == 0:
@@ -300,11 +273,16 @@ def erdelyi_kober_I_numeric(gamma: float, delta: float, f: Callable, x: float):
     t = np.concatenate([s / 2.0, 1.0 - r / 2.0])
     w = np.concatenate([2.0 ** -(gamma + 1.0) * ws * (1.0 - s / 2.0) ** (delta - 1.0),
                         2.0 ** -delta * wr * (1.0 - r / 2.0) ** gamma])
-    v = complex(np.dot(w, np.broadcast_to(f(t * x), t.shape))) / math.gamma(delta)
+    tx = np.multiply.outer(x, t)
+    v = np.dot(np.broadcast_to(f(tx), tx.shape), w)
+    if np.ndim(x):
+        v = v / math.gamma(delta)
+        return v if v.imag.any() else v.real
+    v = complex(v) / math.gamma(delta)
     return v.real if v.imag == 0 else v
 
 
-def chi_one_var_numeric(kappa: float, f, x: float):
+def chi_one_var_numeric(kappa: float, f, x):
     """Unscaled one-variable forward map, the fractional integral of order kappa.
 
     kappa = 0 is the identity. On f(t) = e^(c t) the image is the kernel
@@ -500,8 +478,8 @@ def duality_pairing(kappa: float, f, g, x_bound: float) -> tuple[float, float]:
     rhs = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
         xs, ws = graded_panels(lo, hi, _DUAL_ORDER)
+        chis = chi_one_var_numeric(kappa, f, xs)
         duals = dual_chi(kappa, g, xs, support_bound=bnd)
-        for xi, wi, di in zip(xs, ws, duals.tolist()):
-            lhs += wi * chi_one_var_numeric(kappa, f, xi) * float(gval(xi))
-            rhs += wi * float(fval(xi)) * di
+        lhs += float(np.dot(ws, chis * np.broadcast_to(gval(xs), xs.shape)))
+        rhs += float(np.dot(ws, np.broadcast_to(fval(xs), xs.shape) * duals))
     return lhs, rhs

@@ -6,21 +6,24 @@ per root of an orthogonal subsystem:
     T_xi f(x) = d_xi f(x) + sum_i kappa_i <alpha_i, xi> (f(x) - f(tau_i x)) / <x, alpha_i>
 
 where tau_i is the orthogonal projection onto the wall of alpha_i. Polynomial
-paths are exact over Q; the numeric path replaces the quotient by its analytic
-limit near a wall.
+paths are exact over Q: the quotient is |alpha_i|^-2 d_alpha_i f averaged
+along the segment from x to tau_i x, the moment sequence u^j -> 1 / (j + 1)
+on polycore's segment expansion. The numeric path replaces the quotient by
+its analytic limit near a wall.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .polycore import (
     MPoly,
+    _difference_block,
     _map_root_blocks,
     directional_derivative,
-    divided_difference,
     exact_div_var_power,
     partial_derivative,
     substitute_zero,
@@ -44,17 +47,17 @@ ZERO_TOL = 1e-10
 # (about 200 for degree 12 on A-, B- and coordinate roots).
 @lru_cache(maxsize=1024)
 def _rho_block(alpha_entries: tuple, exps: tuple) -> MPoly:
-    # divided difference of a monomial in the root's own coordinate block
-    alpha = RationalVector(alpha_entries)
-    return divided_difference(MPoly.monomial(exps), alpha)
+    # u^j over [0, 1]
+    return _difference_block(alpha_entries, exps, lambda j: Fraction(1, j + 1))
 
 
 def rho_poly(p: MPoly, alpha: RationalVector) -> MPoly:
     """(p - p o tau_alpha) / <x, alpha>, reduced per-term to alpha's support block.
 
     tau_alpha only moves the coordinates where alpha is nonzero, so each
-    monomial factors into an invariant part times a block monomial; block
-    results are cached across calls.
+    monomial factors into an invariant part times a block monomial. The
+    block's quotient is |alpha|^-2 d_alpha of it averaged along the segment
+    from tau x to x; block results are cached across calls.
     """
     return _map_root_blocks(p, alpha, _rho_block)
 

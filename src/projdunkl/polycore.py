@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over Q and the linear-substitution kernel.
+"""Sparse multivariate polynomials over Q and the segment averages of the root maps.
 
 A polynomial stores integer numerators {exponent tuple: int} over one
 positive integer denominator. The form is canonical: no zero numerators, and
@@ -7,17 +7,26 @@ equality is structural. Every operation runs its inner loop on Python ints
 and reduces once per result, not once per term. `terms` reads the
 coefficients as Fractions. Printing is canonical (graded lex, highest degree
 first) and round-trips through the parser.
+
+The exact root maps move only a root's support coordinates, so each is a map
+of block monomials that _map_root_blocks scatters back. chi's per-root
+factor, the difference term of T and the reflection difference are all
+averages along the segment from tau x to x, tau the projection onto the
+root's wall: each is one sequence of t moments applied to one cached
+expansion of the block monomial along that segment (_segment_expansion,
+_segment_average).
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add, neg
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .rootgeom import RationalVector, _as_fraction, project, reflect
+from .rootgeom import RationalVector, _as_fraction
 
 
 class _Terms(Mapping):
@@ -304,34 +313,6 @@ class MPoly:
         return f"MPoly({self.nvars}, {self.to_text()!r})"
 
 
-class LinearMap:
-    """Square matrix over Q acting on column vectors; rows[i][j] multiplies x_j."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable]) -> None:
-        self.rows = tuple(tuple(_as_fraction(v) for v in r) for r in rows)
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix must be square")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def reflection_map(cls, alpha: RationalVector) -> "LinearMap":
-        n = alpha.dim
-        cols = [reflect(RationalVector.unit(j, n), alpha) for j in range(n)]
-        return cls([[cols[j][i] for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def projection_map(cls, alpha: RationalVector) -> "LinearMap":
-        n = alpha.dim
-        cols = [project(RationalVector.unit(j, n), alpha) for j in range(n)]
-        return cls([[cols[j][i] for j in range(n)] for i in range(n)])
-
-
 def poly_eval(p: MPoly, point: Sequence):
     """Evaluate at a point; exact for Fraction inputs, numeric for float/complex."""
     if len(point) != p.nvars:
@@ -371,45 +352,6 @@ def partial_derivative(p: MPoly, i: int) -> MPoly:
     return directional_derivative(p, RationalVector.unit(i, p.nvars))
 
 
-def _substitute(p: MPoly, images: Sequence[MPoly]) -> MPoly:
-    """p with x_{i+1} replaced by images[i], through cached powers of each image.
-
-    The images may live in a different ring from p; the result lives in theirs.
-    """
-    n = images[0].nvars if images else p.nvars
-    one = MPoly.constant(n, 1)
-    # powers[i][k] is images[i] ** k, grown on demand
-    powers = [[one] for _ in images]
-    parts = []
-    for e, c in p.num.items():
-        t = one
-        for i, k in enumerate(e):
-            if k:
-                pw = powers[i]
-                while len(pw) <= k:
-                    pw.append(pw[-1] * images[i])
-                t = pw[k] if t is one else t * pw[k]
-        parts.append((c, t))
-    common = lcm(*(t.den for _, t in parts))
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for c, t in parts:
-        s = c * (common // t.den)
-        for e, v in t.num.items():
-            out[e] = get(e, 0) + s * v
-    return MPoly._from_parts(n, out, p.den * common)
-
-
-def compose_linear(p: MPoly, a: LinearMap) -> MPoly:
-    """p(Ax): each variable becomes the linear form of its matrix row."""
-    if a.dim != p.nvars:
-        raise ValueError("dimension mismatch")
-    n = p.nvars
-    return _substitute(p, [MPoly(n, {tuple(int(k == j) for k in range(n)): v
-                                     for j, v in enumerate(row) if v})
-                           for row in a.rows])
-
-
 def _map_root_blocks(p: MPoly, alpha: RationalVector,
                      image: Callable[[tuple, tuple[int, ...]], MPoly]) -> MPoly:
     """Apply, term by term, a map that only moves alpha's support coordinates.
@@ -446,49 +388,85 @@ def _map_root_blocks(p: MPoly, alpha: RationalVector,
     return MPoly._from_parts(p.nvars, acc, p.den * common)
 
 
-def exact_div_linear(p: MPoly, alpha: RationalVector) -> MPoly:
-    """Divide p by the linear form <x, alpha>; the remainder must vanish.
+# ---- averages along the segment from x to the wall -------------------------
+#
+# With w = <x, alpha> / |alpha|^2, the point x - u w alpha runs from x (u = 0)
+# through tau x, the projection onto alpha's wall (u = 1), to s x (u = 2).
+# The exact root maps are averages of a block monomial along it, each its own
+# sequence of u moments: chi's scaled weight kappa u^(kappa - 1) on [0, 1],
+# and for a difference quotient the fundamental theorem of calculus,
+#     (f(x) - f(tau x)) / <x, alpha> = |alpha|^-2 integral_0^1 d_alpha f(...) du,
+# and the same over [0, 2] for (f(x) - f(s x)) / <x, alpha>.
 
-    Synthetic division along a pivot variable with nonzero alpha coordinate.
-    Raises ValueError when the form does not divide p exactly.
+# Bounded far above the working set, which has no multiplicity in its key:
+# about 120 block shapes for degree 12 on A-, B- and coordinate roots.
+@lru_cache(maxsize=1024)
+def _segment_expansion(alpha_block: tuple, exps: tuple) -> MPoly:
+    """x^exps at x - u w alpha, u the extra last variable.
+
+    The variables are the root's support coordinates, alpha_block its entries
+    there. By Taylor's theorem along alpha the coefficient of u^j is
+    (-w)^j d_alpha^j x^exps / j!.
     """
-    if alpha.dim != p.nvars:
-        raise ValueError("dimension mismatch")
-    if alpha.is_zero():
-        raise ValueError("cannot divide by the zero form")
-    if p.is_zero():
-        return MPoly.zero(p.nvars)
-    pivot = max(range(alpha.dim), key=lambda i: abs(alpha[i]))
-    a = alpha[pivot]
-    # residual form r = <x,alpha> - a*x_pivot over the other variables
-    n = p.nvars
-    r = MPoly(n, {tuple(int(k == j) for k in range(n)): alpha[j]
-                  for j in range(n) if j != pivot and alpha[j]})
-    # view p as sum_k c_k(y) * x_pivot^k
-    layer_nums: dict[int, dict] = {}
-    for e, c in p.num.items():
-        layer_nums.setdefault(e[pivot], {})[e[:pivot] + (0,) + e[pivot + 1:]] = c
-    layers = {k: MPoly._from_parts(n, num, p.den) for k, num in layer_nums.items()}
-    d = max(layers)
-    inv_a = Fraction(1) / a
-    quot_layers: dict[int, MPoly] = {}
-    carry = MPoly.zero(n)
-    for k in range(d, 0, -1):
-        c_k = layers.get(k, MPoly.zero(n)) - carry
-        h = c_k * inv_a
-        if not h.is_zero():
-            quot_layers[k - 1] = h
-        carry = h * r
-    remainder = layers.get(0, MPoly.zero(n)) - carry
-    if not remainder.is_zero():
-        raise ValueError(f"linear form {alpha} does not divide the polynomial; remainder {remainder}")
-    common = lcm(*(h.den for h in quot_layers.values()))
+    nb = len(exps)
+    alpha = RationalVector(alpha_block)
+    s = alpha.norm_sq()
+    minus_w = MPoly(nb, {tuple(int(i == j) for i in range(nb)): -a / s
+                         for j, a in enumerate(alpha.coords)})
+    parts = []
+    power = MPoly.constant(nb, 1)
+    deriv = MPoly.monomial(exps)
+    while not deriv.is_zero():
+        parts.append(power * deriv)
+        power = power * minus_w
+        deriv = directional_derivative(deriv, alpha) * Fraction(1, len(parts))
+    common = lcm(*(part.den for part in parts))
+    out = {}
+    for j, part in enumerate(parts):
+        scale = common // part.den
+        for e, c in part.num.items():
+            out[e + (j,)] = c * scale
+    return MPoly._from_parts(nb + 1, out, common)
+
+
+def _segment_average(alpha_block: tuple, exps: tuple,
+                     moment: Callable[[int], Fraction]) -> MPoly:
+    """The segment expansion of x^exps with each u^j sent to moment(j)."""
+    nb = len(exps)
+    expanded = _segment_expansion(alpha_block, exps)
+    moments = [moment(j) for j in range(sum(exps) + 1)]
+    # every moment over one common denominator, so the contraction is one
+    # integer multiply-add per term
+    common = lcm(*(m.denominator for m in moments))
+    scale = [m.numerator * (common // m.denominator) for m in moments]
     out: dict[tuple[int, ...], int] = {}
-    for k, h in quot_layers.items():
-        s = common // h.den
-        for e, c in h.num.items():
-            out[e[:pivot] + (k,) + e[pivot + 1:]] = c * s
-    return MPoly._from_parts(n, out, common)
+    get = out.get
+    for e, c in expanded.num.items():
+        key = e[:nb]
+        out[key] = get(key, 0) + c * scale[e[nb]]
+    return MPoly._from_parts(nb, out, expanded.den * common)
+
+
+def _difference_block(alpha_block: tuple, exps: tuple,
+                      moment: Callable[[int], Fraction]) -> MPoly:
+    """|alpha|^-2 d_alpha x^exps, averaged along the segment with moment."""
+    out = MPoly.zero(len(exps))
+    for i, (a, k) in enumerate(zip(alpha_block, exps)):
+        if k:
+            lower = exps[:i] + (k - 1,) + exps[i + 1:]
+            out = out + _segment_average(alpha_block, lower, moment) * (a * k)
+    return out * Fraction(1, sum(a * a for a in alpha_block))
+
+
+@lru_cache(maxsize=1024)
+def _reflection_block(alpha_block: tuple, exps: tuple) -> MPoly:
+    # u^j over [0, 2]
+    return _difference_block(alpha_block, exps, lambda j: Fraction(2 ** (j + 1), j + 1))
+
+
+def reflection_difference(p: MPoly, alpha: RationalVector) -> MPoly:
+    """(p - p o s_alpha) / <x, alpha>, block by block on alpha's support."""
+    return _map_root_blocks(p, alpha, _reflection_block)
 
 
 def substitute_zero(p: MPoly, i: int) -> MPoly:
@@ -504,18 +482,6 @@ def exact_div_var_power(p: MPoly, i: int, k: int) -> MPoly:
             raise ValueError(f"x{i + 1}^{k} does not divide term with exponents {e}")
         out[e[:i] + (e[i] - k,) + e[i + 1:]] = c
     return MPoly._from_parts(p.nvars, out, p.den)
-
-
-def divided_difference(p: MPoly, alpha: RationalVector) -> MPoly:
-    """(p - p o tau_alpha) / <x, alpha>, a polynomial because tau fixes the wall."""
-    diff = p - compose_linear(p, LinearMap.projection_map(alpha))
-    return exact_div_linear(diff, alpha)
-
-
-def reflection_difference(p: MPoly, alpha: RationalVector) -> MPoly:
-    """(p - p o s_alpha) / <x, alpha>."""
-    diff = p - compose_linear(p, LinearMap.reflection_map(alpha))
-    return exact_div_linear(diff, alpha)
 
 
 def classical_dunkl(p: MPoly, roots: Sequence[RationalVector], kappas: Sequence, xi: RationalVector) -> MPoly:

@@ -23,7 +23,6 @@ from projdunkl import (
     chi_one_var_numeric,
     chi_poly_scaled,
     classical_dunkl,
-    divided_difference,
     dual_chi,
     duality_pairing,
     ek_left_inverse_D,
@@ -31,6 +30,7 @@ from projdunkl import (
     erdelyi_kober_I_numeric,
     h_map,
     laplacian_direct,
+    reflection_difference,
     rho_poly,
 )
 from projdunkl import intertwine, quadrature
@@ -168,7 +168,7 @@ def test_exact_layer_frozen_outputs(layout):
         "T_of_chi": apply_T_poly(sub, xi, img),
         "T_decomposed": apply_T_poly_decomposed(sub, xi, p),
         "classical_dunkl": classical_dunkl(p, sub.roots, sub.kappas, xi),
-        "divided_difference": divided_difference(p, sub.roots[-1]),
+        "divided_difference": rho_poly(p, sub.roots[-1]),
     }
     if layout == "coordinate":
         lap = laplacian_direct(p, sub.kappas)
@@ -184,9 +184,14 @@ def test_block_caches_stay_bounded():
     # growing without limit
     from projdunkl.intertwine import _chi_block
     from projdunkl.opengine import _rho_block
+    from projdunkl.polycore import _reflection_block, _segment_expansion
     for cache, fill in ((_chi_block, lambda j: chi_poly_scaled(
                              build_subsystem_coordinate(1, [F(j, 7919)]), P("x1^2", 1))),
-                        (_rho_block, lambda j: rho_poly(P("x1^2", 1), rv(F(j, 7919))))):
+                        (_rho_block, lambda j: rho_poly(P("x1^2", 1), rv(F(j, 7919)))),
+                        (_reflection_block,
+                         lambda j: reflection_difference(P("x1^2", 1), rv(F(j, 7919)))),
+                        (_segment_expansion,
+                         lambda j: _segment_expansion((F(j, 7919),), (2,)))):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None
         misses = cache.cache_info().misses
@@ -195,6 +200,20 @@ def test_block_caches_stay_bounded():
         info = cache.cache_info()
         assert info.misses - misses >= maxsize + 99
         assert info.currsize <= maxsize
+
+
+def test_fresh_kappa_reuses_segment_expansions():
+    # the segment expansion does not depend on kappa: the chi image at a
+    # second fresh multiplicity only contracts the expansions of the first
+    from projdunkl.intertwine import _chi_block
+    from projdunkl.polycore import _segment_expansion
+    p = P(FROZEN_POLY, 6)
+    chi_poly_scaled(build_subsystem_A(6, [F(1, 7907), F(2, 7907), F(3, 7907)]), p)
+    chi_misses = _chi_block.cache_info().misses
+    misses = _segment_expansion.cache_info().misses
+    chi_poly_scaled(build_subsystem_A(6, [F(4, 7907), F(5, 7907), F(6, 7907)]), p)
+    assert _chi_block.cache_info().misses > chi_misses
+    assert _segment_expansion.cache_info().misses == misses
 
 
 def test_rho_poly_of_block_invariant_is_zero():
@@ -335,6 +354,20 @@ def test_erdelyi_kober_numeric_matches_exact():
                 assert abs(got - want) <= 2e-14 * abs(want), (kappa, c, x)
     # delta = 0 short-circuits to the identity
     assert erdelyi_kober_I_numeric(0.5, 0.0, lambda t: t ** 2, 0.8) == 0.8 ** 2
+
+
+def test_erdelyi_kober_numeric_takes_an_array_of_points():
+    # one call on an array agrees with the calls at its points, in its shape;
+    # a complex image stays complex only where f is complex
+    xs = np.array([[0.8, -1.3, 0.0], [2.5, -0.4, 1.1]])
+    for f in (lambda t: t ** 3 - t, lambda t: np.exp(3j * t)):
+        got = erdelyi_kober_I_numeric(0.37, 1.3, f, xs)
+        assert got.shape == xs.shape
+        want = [erdelyi_kober_I_numeric(0.37, 1.3, f, x) for x in xs.ravel().tolist()]
+        assert np.iscomplexobj(got) == any(isinstance(v, complex) for v in want)
+        np.testing.assert_allclose(got.ravel(), want, rtol=1e-15, atol=1e-300)
+    with pytest.raises(ValueError, match="not finite"):
+        erdelyi_kober_I_numeric(0, 0.5, np.exp, np.array([0.3, math.nan]))
 
 
 def test_numeric_maps_reject_non_finite_input():

@@ -1,4 +1,10 @@
-"""Sparse exact polynomials and the projection difference quotients."""
+"""Sparse exact polynomials and the difference quotients along a root.
+
+The difference term of T and the reflection difference are moment sequences
+on one segment expansion (as is chi's per-root factor); they are checked here
+against their definitions at rational points, p(x) - p(tau x) and
+p(x) - p(s x) over <x, alpha>.
+"""
 import math
 import re
 from fractions import Fraction as F
@@ -7,19 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projdunkl import (
-    LinearMap,
     MPoly,
     RationalVector,
     classical_dunkl,
-    compose_linear,
     directional_derivative,
-    divided_difference,
-    exact_div_linear,
     partial_derivative,
     poly_eval,
+    project,
+    reflect,
     reflection_difference,
+    rho_poly,
 )
-from projdunkl.polycore import exact_div_var_power, substitute_zero
+from projdunkl.polycore import _segment_expansion, exact_div_var_power, substitute_zero
 
 
 def rv(*coords):
@@ -86,25 +91,6 @@ def test_directional_and_partial_derivative():
     assert directional_derivative(p, rv(1, -2)) == P("2*x1*x2 - 2*x1^2", 2)
 
 
-def test_compose_linear_with_reflection():
-    alpha = rv(1, -1)
-    tau = LinearMap.reflection_map(alpha)
-    p = P("x1^2 + 3*x2", 2)
-    # tau swaps the coordinates for alpha = e1 - e2
-    assert compose_linear(p, tau) == P("x2^2 + 3*x1", 2)
-
-
-def test_exact_div_linear():
-    alpha = rv(1, -1, 0)
-    p = P("x1^2 - x2^2", 3)  # (x1 - x2)(x1 + x2), and <x, alpha> = x1 - x2
-    assert exact_div_linear(p, alpha) == P("x1 + x2", 3)
-
-
-def test_exact_div_linear_rejects_remainder():
-    with pytest.raises(ValueError):
-        exact_div_linear(P("x1^2 + x2", 2), rv(1, -1))
-
-
 def test_substitute_zero_and_var_power_division():
     p = P("x1^2*x2 + x2^3 + 4", 2)
     assert substitute_zero(p, 0) == P("x2^3 + 4", 2)
@@ -117,10 +103,10 @@ def test_divided_difference_example():
     # wall projection tau halves the alpha component, so for alpha = e1 - e2:
     # tau(x1^2) = ((x1+x2)/2)^2 and (x1^2 - tau(x1^2))/<x,alpha> = 3/4*x1 + 1/4*x2
     alpha = rv(1, -1)
-    assert divided_difference(P("x1^2", 2), alpha) == P("3/4*x1 + 1/4*x2", 2)
+    assert rho_poly(P("x1^2", 2), alpha) == P("3/4*x1 + 1/4*x2", 2)
     # wall-invariant polynomials are annihilated
-    assert divided_difference(P("x1 + x2", 2), alpha).is_zero()
-    assert divided_difference(P("7", 2), alpha).is_zero()
+    assert rho_poly(P("x1 + x2", 2), alpha).is_zero()
+    assert rho_poly(P("7", 2), alpha).is_zero()
 
 
 def test_reflection_difference_example():
@@ -150,24 +136,39 @@ def polys(draw, nvars=2):
     return random_poly(draw, nvars)
 
 
-@given(polys())
-@settings(max_examples=60)
-def test_divided_difference_multiplies_back(p):
-    # the quotient is exact: rho * <x, alpha> == p - p o tau
-    alpha = rv(1, -1)
-    rho = divided_difference(p, alpha)
-    lin = P("x1 - x2", 2)
-    tau = LinearMap.projection_map(alpha)
-    assert rho * lin == p - compose_linear(p, tau)
+# A-type and non-A roots, a coordinate root among them
+roots = st.sampled_from([rv(1, -1), rv(1, 2), rv(3, F(-1, 2)), rv(0, 1)])
+points = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6),
+                  min_size=2, max_size=2).map(RationalVector)
 
 
-@given(polys())
+@given(polys(), roots, points)
 @settings(max_examples=60)
-def test_reflection_difference_multiplies_back(p):
-    alpha = rv(1, -1)
-    s = LinearMap.reflection_map(alpha)
-    lin = P("x1 - x2", 2)
-    assert reflection_difference(p, alpha) * lin == p - compose_linear(p, s)
+def test_divided_difference_multiplies_back(p, alpha, x):
+    # the quotient is exact: rho(x) * <x, alpha> == p(x) - p(tau x)
+    want = poly_eval(p, x.coords) - poly_eval(p, project(x, alpha).coords)
+    assert poly_eval(rho_poly(p, alpha), x.coords) * x.dot(alpha) == want
+
+
+@given(polys(), roots, points)
+@settings(max_examples=60)
+def test_reflection_difference_multiplies_back(p, alpha, x):
+    want = poly_eval(p, x.coords) - poly_eval(p, reflect(x, alpha).coords)
+    assert poly_eval(reflection_difference(p, alpha), x.coords) * x.dot(alpha) == want
+
+
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=2), roots, points,
+       st.fractions(min_value=-2, max_value=3, max_denominator=5))
+@settings(max_examples=60)
+def test_segment_expansion_is_the_monomial_on_the_segment(exps, alpha, x, u):
+    # the expansion at (x, u) is x^exps at x - u <x, alpha> / |alpha|^2 alpha,
+    # on the support block of alpha
+    y = x - alpha.scale(u * x.dot(alpha) / alpha.norm_sq())
+    support = [i for i in range(2) if alpha[i]]
+    block = tuple(exps[i] for i in support)
+    got = poly_eval(_segment_expansion(tuple(alpha[i] for i in support), block),
+                    [x[i] for i in support] + [u])
+    assert got == math.prod(y[i] ** k for i, k in zip(support, block))
 
 
 def test_classical_dunkl_rank_one():
@@ -216,23 +217,6 @@ def _ref_derivative(a, xi):
     return _ref_clean(out)
 
 
-def _ref_linear(coeffs):
-    n = len(coeffs)
-    return _ref_clean({tuple(int(k == j) for k in range(n)): c for j, c in enumerate(coeffs)})
-
-
-def _ref_compose(a, rows):
-    n = len(rows)
-    out = {}
-    for e, c in a.items():
-        t = {(0,) * n: c}
-        for i, k in enumerate(e):
-            for _ in range(k):
-                t = _ref_mul(t, _ref_linear(rows[i]))
-        out = _ref_add(out, t)
-    return out
-
-
 def _assert_canonical(p, want):
     assert type(p.den) is int and p.den > 0
     assert all(type(c) is int and c for c in p.num.values())
@@ -249,10 +233,9 @@ term_dicts = st.dictionaries(
 vectors = st.lists(small_coeffs, min_size=NV, max_size=NV)
 
 
-@given(term_dicts, term_dicts, wide_coeffs, vectors,
-       st.lists(vectors, min_size=NV, max_size=NV), vectors, st.integers(0, 3))
+@given(term_dicts, term_dicts, wide_coeffs, vectors, st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
-def test_integer_layer_matches_fraction_reference(da, db, q, xi, rows, alpha, k):
+def test_integer_layer_matches_fraction_reference(da, db, q, xi, k):
     a, b = _ref_clean(da), _ref_clean(db)
     pa, pb = MPoly(NV, da), MPoly(NV, db)
     _assert_canonical(pa, a)
@@ -267,10 +250,6 @@ def test_integer_layer_matches_fraction_reference(da, db, q, xi, rows, alpha, k)
         power = _ref_mul(power, a)
     _assert_canonical(pa ** k, power)
     _assert_canonical(directional_derivative(pa, RationalVector(xi)), _ref_derivative(a, xi))
-    _assert_canonical(compose_linear(pa, LinearMap(rows)), _ref_compose(a, rows))
-    if any(alpha):
-        product = MPoly(NV, _ref_mul(a, _ref_linear(alpha)))
-        _assert_canonical(exact_div_linear(product, RationalVector(alpha)), a)
 
 
 big_coeffs = st.builds(F, st.integers(-10**60, 10**60), st.integers(1, 10**40))
