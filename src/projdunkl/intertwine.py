@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gammaratio import GammaRatio, pochhammer
-from .polycore import MPoly, _map_root_blocks, _segment_average, poly_eval
+from .polycore import (MPoly, _descending_terms, _map_root_blocks, _monomial_text,
+                       _segment_average, poly_eval)
 from .quadrature import get_rule, graded_panels
 from .rootgeom import (OrthogonalSubsystem, RationalVector, _as_fraction,
                        build_subsystem_coordinate)
@@ -75,11 +76,11 @@ class GPoly:
 
     def to_text(self) -> str:
         """[c*scale]*monomial per term, highest degree first."""
-        terms = self.poly.terms
+        den = self.poly.den
         parts = []
-        for e in sorted(terms, key=MPoly._grlex_key):
-            body = MPoly._monomial_text(e)
-            c = self.scale * terms[e]
+        for _, e, c in _descending_terms(self.poly.num):
+            body = _monomial_text(e)
+            c = self.scale * Fraction(c, den)
             parts.append(f"[{c}]*{body}" if body else f"[{c}]")
         return " + ".join(parts) or "0"
 
@@ -133,7 +134,7 @@ def _chi_block(alpha_entries: tuple, kappa: Fraction, exps: tuple) -> MPoly:
     average runs along the segment from x toward the wall against the scaled
     weight kappa u^(kappa - 1) on [0, 1], which sends u^j to kappa / (kappa + j).
     """
-    return _segment_average(alpha_entries, exps, lambda j: kappa / (kappa + j))
+    return _segment_average(alpha_entries, exps, 0, lambda j: kappa / (kappa + j))
 
 
 def _chi_root_step(p: MPoly, alpha: RationalVector, kappa: Fraction) -> MPoly:

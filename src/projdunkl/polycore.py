@@ -5,16 +5,31 @@ positive integer denominator. The form is canonical: no zero numerators, and
 the denominator shares no factor with all the numerators together, so
 equality is structural. Every operation runs its inner loop on Python ints
 and reduces once per result, not once per term. `terms` reads the
-coefficients as Fractions. Printing is canonical (graded lex, highest degree
-first) and round-trips through the parser.
+coefficients as Fractions.
+
+The text form: a polynomial is a sequence of terms, each but the first after
+a sign '+' or '-' (the first may carry one), and a term is a product of
+factors, written with '*' between them or side by side. A factor is a
+number, N or N/D with D nonzero, or a variable xI with I >= 1, optionally
+raised to a power xI^K with K a plain integer. Blanks may stand between any
+two symbols but not inside a number or a variable. Repeated factors
+multiply and like terms add, so "2x1*x1 - 1/2*x1^2" reads as 3/2*x1^2.
+
+Printing is canonical and round-trips through the parser: terms in graded
+lex order, highest total degree first and then the exponent tuples
+descending ("x1^2 + x1*x2 + x2^2 + x1 + 1"); coefficients reduced, a
+coefficient 1 left out, and variables in index order, an exponent 1 left
+out. The text of each monomial comes from a table bounded at 8192
+exponent tuples, least recently used first out.
 
 The exact root maps move only a root's support coordinates, so each is a map
 of block monomials that _map_root_blocks scatters back. chi's per-root
 factor, the difference term of T and the reflection difference are all
 averages along the segment from tau x to x, tau the projection onto the
 root's wall: each is one sequence of t moments applied to one cached
-expansion of the block monomial along that segment (_segment_expansion,
-_segment_average).
+expansion along that segment (_segment_expansion, _segment_average), of the
+block monomial for chi and of its derivative along the root for the two
+difference quotients.
 """
 from __future__ import annotations
 
@@ -23,10 +38,33 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, neg
+from operator import add
 from typing import Callable, Sequence
 
 from .rootgeom import RationalVector, _as_fraction
+
+
+# the index of every variable in a text, for the variable count
+_VARIABLE_RE = re.compile(r"x(\d+)")
+
+
+def _descending_terms(num: dict) -> list:
+    """(degree, exponents, numerator) per term, in the canonical print order.
+
+    Graded lex, highest first: by total degree, then by exponent tuple, both
+    descending. Exponent tuples are distinct, so the sort never compares
+    numerators.
+    """
+    return sorted(zip(map(sum, num), num, num.values()), reverse=True)
+
+
+# Bounded: six variables up to degree 12 have 18564 monomials. The table
+# holds the monomials that recur from one printed image to the next.
+@lru_cache(maxsize=8192)
+def _monomial_text(e: tuple[int, ...]) -> str:
+    """'x1^2*x3' for (2, 0, 1); empty for the constant monomial."""
+    return "*".join([f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}"
+                     for i, k in enumerate(e) if k])
 
 
 class _Terms(Mapping):
@@ -184,26 +222,15 @@ class MPoly:
         return result
 
     # ---- text form -----------------------------------------------------
-    @staticmethod
-    def _grlex_key(e: tuple[int, ...]):
-        return (-sum(e), tuple(map(neg, e)))
-
-    @staticmethod
-    def _monomial_text(e: tuple[int, ...]) -> str:
-        """'x1^2*x3' for (2, 0, 1); empty for the constant monomial."""
-        return "*".join([f"x{i + 1}" if k == 1 else f"x{i + 1}^{k}"
-                         for i, k in enumerate(e) if k])
-
     def to_text(self) -> str:
         if not self.num:
             return "0"
         den = self.den
         parts = []
-        for e in sorted(self.num, key=self._grlex_key):
-            c = self.num[e]
+        for _, e, c in _descending_terms(self.num):
             g = gcd(c, den)
             n, d = abs(c) // g, den // g
-            body = self._monomial_text(e)
+            body = _monomial_text(e)
             mag = str(n) if d == 1 else f"{n}/{d}"
             if not body:
                 piece = mag
@@ -217,89 +244,81 @@ class MPoly:
                 parts.append(f"+ {piece}" if c > 0 else f"- {piece}")
         return " ".join(parts)
 
-    # one token: number (numerator, denominator), variable index, operator or
-    # anything else, which is an error
-    _TOKEN_RE = re.compile(r"\s*(?:(\d+)(?:/(\d+))?|x(\d+)|([-+*^()])|(\S))")
+    # one token per factor, with the '*' before it: a variable (index, then
+    # '^' and the exponent) or a number (numerator, denominator); or any other
+    # character: a sign, or an error. An exponent is matched with whatever
+    # follows its '^' that could pass for one, so a bad exponent is one error.
+    _TOKEN_RE = re.compile(r"\s*(\*?)\s*(?:x(\d+)(?:\s*(\^\s*\d*(?:/\d+)?))?"
+                           r"|(\d+)(?:/(\d+))?|(\S))")
 
     @classmethod
     def from_text(cls, text: str, nvars: int | None = None) -> "MPoly":
-        """Parse the canonical text form; nvars defaults to the highest index used."""
+        """Parse the text form (grammar in the module docstring).
+
+        nvars defaults to the highest index used.
+        """
         tokens = cls._TOKEN_RE.findall(text)
         if not tokens:
             raise ValueError("empty polynomial text")
 
-        def at(i: int) -> int:
-            """Text position of token i, for error messages."""
-            m = list(cls._TOKEN_RE.finditer(text))[i]
-            return m.end() - len(m[0].lstrip())
+        def at(i: int, group: int) -> int:
+            """Text position of a group of token i, for error messages."""
+            return list(cls._TOKEN_RE.finditer(text))[i].start(group)
 
-        maxvar = max((int(t[2]) for t in tokens if t[2]), default=0)
+        maxvar = max(map(int, set(_VARIABLE_RE.findall(text))), default=0)
         n = nvars if nvars is not None else max(maxvar, 1)
         if maxvar > n:
             raise ValueError(f"variable x{maxvar} exceeds declared count {n}")
 
         # each term as (exponents, signed numerator, denominator)
         parsed: list[tuple[tuple[int, ...], int, int]] = []
-        count = len(tokens)
-        i = 0
-        sign = 1
+        exps = None  # the open term's exponents; None before its first factor
+        cn = cd = sign = 1
         pending_sign = False
-        while i < count:
-            op = tokens[i][3]
-            if op == "+" or op == "-":
-                if pending_sign:
-                    raise ValueError(f"parse error at position {at(i)}: consecutive signs")
-                sign = 1 if op == "+" else -1
-                pending_sign = True
-                i += 1
-                continue
-            # one term: [num] {* var[^num]}*  or  var...
-            cn = cd = 1
-            exps = [0] * n
-            saw_factor = False
-            while i < count:
-                top, bottom, var, op, other = tokens[i]
-                if top:
-                    cn *= int(top)
-                    if bottom:
-                        if not int(bottom):
-                            raise ValueError(f"zero denominator at position {at(i)}")
-                        cd *= int(bottom)
-                    saw_factor = True
-                    i += 1
-                elif var:
-                    vi = int(var) - 1
-                    if vi < 0:
-                        raise ValueError(f"variable indices start at x1, got {'x' + var!r}")
-                    power = 1
-                    if i + 1 < count and tokens[i + 1][3] == "^":
-                        if i + 2 >= count or not tokens[i + 2][0] or tokens[i + 2][1]:
-                            raise ValueError(f"parse error at position {at(i)}: integer exponent expected after ^")
-                        power = int(tokens[i + 2][0])
-                        i += 2
-                    exps[vi] += power
-                    saw_factor = True
-                    i += 1
-                elif op == "*":
-                    if not saw_factor:
-                        raise ValueError(f"parse error at position {at(i)}: '*' with no left factor")
-                    if i + 1 >= count or not (tokens[i + 1][0] or tokens[i + 1][2]):
-                        raise ValueError(f"parse error at position {at(i)}: factor expected after '*'")
-                    i += 1
-                elif op == "+" or op == "-":
-                    break
-                elif other:
-                    pos = at(i)
-                    raise ValueError(f"parse error at position {pos}: {text[pos:pos + 10]!r}")
+        for i, (star, var, power, top, bottom, rest) in enumerate(tokens):
+            if star or rest == "*":
+                if exps is None:
+                    raise ValueError(f"parse error at position {at(i, 1 if star else 6)}: '*' with no left factor")
+                if not (var or top):
+                    raise ValueError(f"parse error at position {at(i, 1 if star else 6)}: factor expected after '*'")
+            if var:
+                if exps is None:
+                    exps = [0] * n
+                vi = int(var) - 1
+                if vi < 0:
+                    raise ValueError(f"variable indices start at x1, got {'x' + var!r}")
+                if power:
+                    k = power[1:].lstrip()
+                    if not k.isdecimal():
+                        raise ValueError(f"parse error at position {at(i, 2) - 1}: integer exponent expected after ^")
+                    exps[vi] += int(k)
                 else:
-                    raise ValueError(f"parse error at position {at(i)}: unexpected {op!r}")
-            if not saw_factor:
-                raise ValueError("dangling sign with no term")
-            parsed.append((tuple(exps), sign * cn, cd))
-            sign = 1
-            pending_sign = False
-        if pending_sign:
+                    exps[vi] += 1
+            elif top:
+                if exps is None:
+                    exps = [0] * n
+                cn *= int(top)
+                if bottom:
+                    if not int(bottom):
+                        raise ValueError(f"zero denominator at position {at(i, 4)}")
+                    cd *= int(bottom)
+            elif rest == "+" or rest == "-":
+                if exps is not None:
+                    parsed.append((tuple(exps), sign * cn, cd))
+                    exps = None
+                    cn = cd = 1
+                elif pending_sign:
+                    raise ValueError(f"parse error at position {at(i, 6)}: consecutive signs")
+                sign = 1 if rest == "+" else -1
+                pending_sign = True
+            elif rest in "^()":
+                raise ValueError(f"parse error at position {at(i, 6)}: unexpected {rest!r}")
+            else:
+                pos = at(i, 6)
+                raise ValueError(f"parse error at position {pos}: {text[pos:pos + 10]!r}")
+        if exps is None:
             raise ValueError("dangling sign with no term")
+        parsed.append((tuple(exps), sign * cn, cd))
         den = lcm(*(cd for _, _, cd in parsed))
         num: dict[tuple[int, ...], int] = {}
         for e, cn, cd in parsed:
@@ -392,21 +411,23 @@ def _map_root_blocks(p: MPoly, alpha: RationalVector,
 #
 # With w = <x, alpha> / |alpha|^2, the point x - u w alpha runs from x (u = 0)
 # through tau x, the projection onto alpha's wall (u = 1), to s x (u = 2).
-# The exact root maps are averages of a block monomial along it, each its own
-# sequence of u moments: chi's scaled weight kappa u^(kappa - 1) on [0, 1],
-# and for a difference quotient the fundamental theorem of calculus,
+# The exact root maps are averages along it, each its own sequence of u
+# moments: of a block monomial against chi's scaled weight kappa u^(kappa - 1)
+# on [0, 1], and of its derivative d_alpha for a difference quotient, by the
+# fundamental theorem of calculus,
 #     (f(x) - f(tau x)) / <x, alpha> = |alpha|^-2 integral_0^1 d_alpha f(...) du,
 # and the same over [0, 2] for (f(x) - f(s x)) / <x, alpha>.
 
 # Bounded far above the working set, which has no multiplicity in its key:
-# about 120 block shapes for degree 12 on A-, B- and coordinate roots.
+# about 210 entries for degree 12 on A-, B- and coordinate roots, half of
+# them derivatives for the difference blocks.
 @lru_cache(maxsize=1024)
-def _segment_expansion(alpha_block: tuple, exps: tuple) -> MPoly:
-    """x^exps at x - u w alpha, u the extra last variable.
+def _segment_expansion(alpha_block: tuple, exps: tuple, order: int) -> MPoly:
+    """d_alpha^order x^exps at x - u w alpha, u the extra last variable.
 
     The variables are the root's support coordinates, alpha_block its entries
     there. By Taylor's theorem along alpha the coefficient of u^j is
-    (-w)^j d_alpha^j x^exps / j!.
+    (-w)^j d_alpha^(order + j) x^exps / j!.
     """
     nb = len(exps)
     alpha = RationalVector(alpha_block)
@@ -416,6 +437,8 @@ def _segment_expansion(alpha_block: tuple, exps: tuple) -> MPoly:
     parts = []
     power = MPoly.constant(nb, 1)
     deriv = MPoly.monomial(exps)
+    for _ in range(order):
+        deriv = directional_derivative(deriv, alpha)
     while not deriv.is_zero():
         parts.append(power * deriv)
         power = power * minus_w
@@ -429,12 +452,12 @@ def _segment_expansion(alpha_block: tuple, exps: tuple) -> MPoly:
     return MPoly._from_parts(nb + 1, out, common)
 
 
-def _segment_average(alpha_block: tuple, exps: tuple,
+def _segment_average(alpha_block: tuple, exps: tuple, order: int,
                      moment: Callable[[int], Fraction]) -> MPoly:
-    """The segment expansion of x^exps with each u^j sent to moment(j)."""
+    """The segment expansion of d_alpha^order x^exps, each u^j sent to moment(j)."""
     nb = len(exps)
-    expanded = _segment_expansion(alpha_block, exps)
-    moments = [moment(j) for j in range(sum(exps) + 1)]
+    expanded = _segment_expansion(alpha_block, exps, order)
+    moments = [moment(j) for j in range(sum(exps) + 1 - order)]
     # every moment over one common denominator, so the contraction is one
     # integer multiply-add per term
     common = lcm(*(m.denominator for m in moments))
@@ -450,12 +473,8 @@ def _segment_average(alpha_block: tuple, exps: tuple,
 def _difference_block(alpha_block: tuple, exps: tuple,
                       moment: Callable[[int], Fraction]) -> MPoly:
     """|alpha|^-2 d_alpha x^exps, averaged along the segment with moment."""
-    out = MPoly.zero(len(exps))
-    for i, (a, k) in enumerate(zip(alpha_block, exps)):
-        if k:
-            lower = exps[:i] + (k - 1,) + exps[i + 1:]
-            out = out + _segment_average(alpha_block, lower, moment) * (a * k)
-    return out * Fraction(1, sum(a * a for a in alpha_block))
+    return (_segment_average(alpha_block, exps, 1, moment)
+            * Fraction(1, sum(a * a for a in alpha_block)))
 
 
 @lru_cache(maxsize=1024)

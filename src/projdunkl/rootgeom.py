@@ -10,6 +10,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -66,13 +68,22 @@ class RationalVector:
     def zero(cls, dim: int) -> "RationalVector":
         return cls(Fraction(0) for _ in range(dim))
 
+    def _over_common_denominator(self) -> tuple[list[int], int]:
+        """Integer numerators over the least common denominator."""
+        den = lcm(*(c.denominator for c in self.coords))
+        return [c.numerator * (den // c.denominator) for c in self.coords], den
+
     def dot(self, other: "RationalVector") -> Fraction:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return sum((a * b for a, b in zip(self.coords, other.coords)), Fraction(0))
+        # one integer sum and one reduction, not one Fraction sum per term
+        a, da = self._over_common_denominator()
+        b, db = other._over_common_denominator()
+        return Fraction(sum(map(mul, a, b)), da * db)
 
     def norm_sq(self) -> Fraction:
-        return sum((a * a for a in self.coords), Fraction(0))
+        a, da = self._over_common_denominator()
+        return Fraction(sum(map(mul, a, a)), da * da)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -191,7 +191,7 @@ def test_block_caches_stay_bounded():
                         (_reflection_block,
                          lambda j: reflection_difference(P("x1^2", 1), rv(F(j, 7919)))),
                         (_segment_expansion,
-                         lambda j: _segment_expansion((F(j, 7919),), (2,)))):
+                         lambda j: _segment_expansion((F(j, 7919),), (2,), 0))):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None
         misses = cache.cache_info().misses

@@ -3,7 +3,9 @@
 The difference term of T and the reflection difference are moment sequences
 on one segment expansion (as is chi's per-root factor); they are checked here
 against their definitions at rational points, p(x) - p(tau x) and
-p(x) - p(s x) over <x, alpha>.
+p(x) - p(s x) over <x, alpha>. The text form is held to frozen tables of
+accepted and rejected inputs, recorded before its parser and printer were
+last rewritten.
 """
 import math
 import re
@@ -24,7 +26,13 @@ from projdunkl import (
     reflection_difference,
     rho_poly,
 )
-from projdunkl.polycore import _segment_expansion, exact_div_var_power, substitute_zero
+from projdunkl.polycore import (
+    _monomial_text,
+    _reflection_block,
+    _segment_expansion,
+    exact_div_var_power,
+    substitute_zero,
+)
 
 
 def rv(*coords):
@@ -42,10 +50,77 @@ def test_text_roundtrip_and_grlex_order():
     assert p.to_text() == "2*x1^2*x2 - x2^3 + 1/3*x1 - 4"
 
 
+# Accepted inputs that are not canonical, with their canonical text: factors
+# may be juxtaposed or repeated, in any order, with blanks around '*' and '^'.
+NON_CANONICAL = [
+    ("2x1", "2*x1"),
+    ("x1*2", "2*x1"),
+    ("x1 ^ 2", "x1^2"),
+    ("x2*x1*x2", "x1*x2^2"),
+    ("- 3", "-3"),
+    ("+ 3/2*x1^2*x3", "3/2*x1^2*x3"),
+    ("3*2*x1", "6*x1"),
+    ("3 2", "6"),
+    ("x1x2", "x1*x2"),
+    ("x1 2 x2", "2*x1*x2"),
+    ("x1^2x2", "x1^2*x2"),
+    ("x1^ 2 * x2 ^3", "x1^2*x2^3"),
+    ("x1^02", "x1^2"),
+    ("x01", "x1"),
+    ("7/14*x1", "1/2*x1"),
+    ("x1^0*x2^0", "1"),
+    ("2/4*x1^2 + 1/2*x1^2", "x1^2"),
+    ("x1 - x1", "0"),
+    ("0*x1", "0"),
+    ("x1\t+\nx2", "x1 + x2"),
+    ("-x2 + x1", "x1 - x2"),
+    ("1 + x1 + x1^2", "x1^2 + x1 + 1"),
+]
+
+
+def test_parser_canonicalizes_accepted_input():
+    for text, canonical in NON_CANONICAL:
+        p = P(text)
+        assert p.to_text() == canonical, text
+        assert P(canonical, p.nvars) == p
+
+
+# Rejected inputs with their exact messages; positions count from 0.
+REJECTED = [
+    ("x0", "variable indices start at x1, got 'x0'"),
+    ("x00", "variable indices start at x1, got 'x00'"),
+    ("2**x1", "parse error at position 1: factor expected after '*'"),
+    ("x1*", "parse error at position 2: factor expected after '*'"),
+    ("x1*+x2", "parse error at position 2: factor expected after '*'"),
+    ("*x1", "parse error at position 0: '*' with no left factor"),
+    ("x1^-2", "parse error at position 0: integer exponent expected after ^"),
+    ("x1^2/3", "parse error at position 0: integer exponent expected after ^"),
+    ("x1^", "parse error at position 0: integer exponent expected after ^"),
+    ("x1^x2", "parse error at position 0: integer exponent expected after ^"),
+    ("2^3", "parse error at position 1: unexpected '^'"),
+    ("1/0*x1", "zero denominator at position 0"),
+    ("x1 +", "dangling sign with no term"),
+    ("x1 (", "parse error at position 3: unexpected '('"),
+    ("(x1)", "parse error at position 0: unexpected '('"),
+    ("--x1", "parse error at position 1: consecutive signs"),
+    ("x1 - - x2", "parse error at position 5: consecutive signs"),
+    ("x", "parse error at position 0: 'x'"),
+    ("y1", "parse error at position 0: 'y1'"),
+    ("1 / 2", "parse error at position 2: '/ 2'"),
+    ("x1^2/", "parse error at position 4: '/'"),
+    ("", "empty polynomial text"),
+    ("   ", "empty polynomial text"),
+]
+
+
 def test_parser_rejects_garbage():
-    for bad in ("x0", "2**x1", "x1^-2", "1/0*x1", "x1 +", ""):
-        with pytest.raises(ValueError):
+    for bad, message in REJECTED:
+        with pytest.raises(ValueError) as err:
             P(bad)
+        assert str(err.value) == message, bad
+    # a declared count is checked before the grammar
+    with pytest.raises(ValueError, match="^variable x3 exceeds declared count 2$"):
+        P("x3 + (", 2)
 
 
 def test_parser_infers_nvars():
@@ -158,17 +233,36 @@ def test_reflection_difference_multiplies_back(p, alpha, x):
 
 
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=2), roots, points,
-       st.fractions(min_value=-2, max_value=3, max_denominator=5))
+       st.fractions(min_value=-2, max_value=3, max_denominator=5), st.integers(0, 1))
 @settings(max_examples=60)
-def test_segment_expansion_is_the_monomial_on_the_segment(exps, alpha, x, u):
-    # the expansion at (x, u) is x^exps at x - u <x, alpha> / |alpha|^2 alpha,
-    # on the support block of alpha
+def test_segment_expansion_is_the_monomial_on_the_segment(exps, alpha, x, u, order):
+    # the expansion at (x, u) is d_alpha^order x^exps at
+    # x - u <x, alpha> / |alpha|^2 alpha, on the support block of alpha
     y = x - alpha.scale(u * x.dot(alpha) / alpha.norm_sq())
     support = [i for i in range(2) if alpha[i]]
     block = tuple(exps[i] for i in support)
-    got = poly_eval(_segment_expansion(tuple(alpha[i] for i in support), block),
+    alpha_block = RationalVector([alpha[i] for i in support])
+    want = MPoly.monomial(block)
+    for _ in range(order):
+        want = directional_derivative(want, alpha_block)
+    got = poly_eval(_segment_expansion(alpha_block.coords, block, order),
                     [x[i] for i in support] + [u])
-    assert got == math.prod(y[i] ** k for i, k in zip(support, block))
+    assert got == poly_eval(want, [y[i] for i in support])
+
+
+def test_difference_block_miss_builds_one_expansion():
+    # a cold rho or reflection block is one expansion, of d_alpha x^e, which
+    # the other of the two then reuses
+    from projdunkl.opengine import _rho_block
+    alpha = (1, F(2, 7901), -3)  # a root no other test uses
+    for exps, first, second in (((3, 2, 1), _rho_block, _reflection_block),
+                                ((1, 2, 4), _reflection_block, _rho_block)):
+        misses = _segment_expansion.cache_info().misses
+        for block in (first, second):
+            block_misses = block.cache_info().misses
+            block(alpha, exps)
+            assert block.cache_info().misses == block_misses + 1
+            assert _segment_expansion.cache_info().misses == misses + 1
 
 
 def test_classical_dunkl_rank_one():
@@ -264,3 +358,50 @@ def test_text_roundtrip_with_large_coefficients(d):
     # every printed coefficient is a reduced fraction
     for top, bottom in re.findall(r"(\d+)/(\d+)", p.to_text()):
         assert math.gcd(int(top), int(bottom)) == 1
+
+
+@st.composite
+def six_variable_polys(draw):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=5)] * 6), big_coeffs, max_size=12))
+    return MPoly(6, terms)
+
+
+@given(six_variable_polys())
+@settings(max_examples=80, deadline=None)
+def test_six_variable_text_roundtrip(p):
+    text = p.to_text()
+    assert MPoly.from_text(text, 6) == p
+    assert MPoly.from_text(text, 6).to_text() == text
+    if p.is_zero():
+        assert text == "0"
+        return
+    # terms come out highest total degree first, then by exponents descending
+    printed = []
+    for piece in re.split(r" [-+] ", text):
+        e = [0] * 6
+        for i, k in re.findall(r"x(\d+)(?:\^(\d+))?", piece):
+            e[int(i) - 1] += int(k or 1)
+        printed.append(tuple(e))
+    assert printed == sorted(p.num, key=lambda e: (-sum(e), [-k for k in e]))
+
+
+def test_monomial_table_is_bounded_and_evicts_cleanly():
+    p = P("3*x1^2*x2*x6^12 - 1/7*x3^4 + x2*x5 - 2/3", 6)
+    text = p.to_text()
+    maxsize = _monomial_text.cache_info().maxsize
+    assert maxsize is not None
+    # more distinct monomials than the table holds push every entry of p out
+    for j in range(maxsize + 100):
+        _monomial_text((j, 0, 1, 0, 0, 7))
+    assert _monomial_text.cache_info().currsize <= maxsize
+    assert p.to_text() == text == "3*x1^2*x2*x6^12 - 1/7*x3^4 + x2*x5 - 2/3"
+
+
+def test_gpoly_text_of_a_one_variable_chi_image():
+    # recorded before the printers shared their ordering and monomial table
+    from projdunkl.intertwine import chi_one_var
+    g = chi_one_var(P("3*x1^4 - 1/2*x1^2 + 5/3*x1 - 7", 1), F(1, 3))
+    assert g.to_text() == ("[729/455/G(4/3)]*x1^4 + [-9/28/G(4/3)]*x1^2"
+                           " + [5/4/G(4/3)]*x1 + [-7/G(4/3)]")
+    assert chi_one_var(P("0", 1), F(1, 3)).to_text() == "0"

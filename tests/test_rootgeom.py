@@ -43,6 +43,18 @@ def test_dot_and_norm():
     assert a.norm_sq() == 2
 
 
+wide = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6)
+
+
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.tuples(st.lists(wide, min_size=n, max_size=n), st.lists(wide, min_size=n, max_size=n))))
+def test_dot_and_norm_equal_the_fraction_sums(pair):
+    a, b = (RationalVector(v) for v in pair)
+    want = sum((x * y for x, y in zip(a, b)), F(0))
+    assert type(a.dot(b)) is F and a.dot(b) == want
+    assert a.norm_sq() == sum((x * x for x in a), F(0))
+
+
 def test_reflection_formula():
     # s fixes the wall and negates the normal component; for e1 - e2 it
     # swaps the two coordinates
