@@ -397,21 +397,14 @@ def dual_chi(kappa: float, g, x, support_bound: float | None = None):
 def _segment_mesh(depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [0, 1], graded toward 0 only.
 
-    Four equal cells of _DUAL_ORDER nodes; the first is split by halving
-    toward 0 into depth + 1 half-order cells, as graded_panels splits an end
-    cell. Those are [0, 2^-depth] and the outer depth slivers of the deepest
-    graded rule, so the rule table holds one graded rule for dual_chi
-    whatever the depths.
+    Four equal cells of _DUAL_ORDER nodes; the first is the half-order
+    graded rule of this depth, depth + 1 cells split by halving toward 0, as
+    graded_panels splits an end cell.
     """
-    half = (_DUAL_ORDER + 1) // 2
-    t, tw = get_rule(half, _DUAL_DEPTH)
-    inner, inner_w = get_rule(half)
-    keep = t.size - depth * inner.size
+    t, tw = get_rule((_DUAL_ORDER + 1) // 2, depth)
     nodes, weights = get_rule(_DUAL_ORDER)
-    scale = 2.0 ** -depth
-    x = np.concatenate([scale * inner, t[keep:],
-                        (np.arange(1.0, 4.0)[:, None] + nodes).ravel()])
-    w = np.concatenate([scale * inner_w, tw[keep:], np.tile(weights, 3)])
+    x = np.concatenate([t, (np.arange(1.0, 4.0)[:, None] + nodes).ravel()])
+    w = np.concatenate([tw, np.tile(weights, 3)])
     return x / 4.0, w / 4.0
 
 

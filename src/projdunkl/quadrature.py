@@ -22,9 +22,8 @@ power-0 rule): an integrand analytic inside the cell needs few nodes on a
 sliver that is short against the distance to its singularity, and a
 geometric mesh needs the full order only away from the singular point
 (Schwab, p- and hp-Finite Element Methods, 1998, ch. 4). dual_chi grades its
-segments toward one end only, and to a depth per segment; it takes the
-shallower cells from the deepest rule, so the table holds one graded rule
-for it whatever the depths.
+segments toward one end only, and to a depth per segment, with the graded
+rule of that depth: at most 25 small entries of the table.
 
 Rules are read-only arrays held in one table of at most _CACHE_SIZE entries,
 keyed by (n, depth, power), that drops the oldest first.
@@ -36,8 +35,9 @@ import math
 import numpy as np
 from scipy.special import roots_jacobi
 
-# The package uses about a dozen rules, one per order and per exponent of the
-# numeric maps, so the bound only matters to callers that sweep many kappa.
+# The package uses a few dozen rules: one per order and per exponent of the
+# numeric maps, and dual_chi's one per depth. The bound only matters to
+# callers that sweep many kappa.
 _CACHE_SIZE = 256
 _cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 

@@ -1,9 +1,17 @@
 """Verification suites: seeded spot checks of every advertised identity.
 
-Each suite emits CheckRecord rows; a row fails with a concrete witness (the
-offending input and the observed value). Fault injection replaces one internal
-quantity with a deliberately wrong one so the suite's sensitivity itself is
-testable: a healthy suite must go red under its designated fault.
+Each suite emits one CheckRecord row per check. A check is a generator of
+cases, one (observed, tolerance, where) triple each; where is a zero-argument
+callable naming the case, so a passing case formats no text, and an exact
+check yields 1 for a mismatch and 0 for a match against tolerance 0. _check
+alone compares: a check fails at the first case where observed <= tolerance
+does not hold, a NaN included, and draws no further case. Its witness is
+where() followed by "(observed O, tolerance T)" in %.3e; a raised exception
+fails the check with the exception's type and message.
+
+Fault injection replaces one internal quantity with a deliberately wrong one
+so the suite's sensitivity itself is testable: a healthy suite must go red
+under its designated fault.
 
 Reports are deterministic for a fixed seed: no timestamps, no float formatting
 that depends on platform, fixed suite order.
@@ -16,7 +24,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -102,14 +110,21 @@ class CheckRecord:
     witness: str = ""
 
 
-def _check(records: list, suite: str, name: str, fn: Callable[[], str | None]) -> None:
+def _check(records: list, suite: str, name: str,
+           cases: Iterable[tuple[float, float, Callable[[], str]]]) -> None:
+    """Record one check: it fails at the first case with observed <= tolerance
+    false, a NaN included, and draws no further case."""
     try:
-        witness = fn()
+        for observed, tolerance, where in cases:
+            if not observed <= tolerance:
+                records.append(CheckRecord(suite, name, False, f"{where()} (observed "
+                                           f"{observed:.3e}, tolerance {tolerance:.3e})"))
+                return
     except Exception as exc:  # a raised invariant is a failure with that witness
         records.append(CheckRecord(suite, name, False,
                                    f"raised {type(exc).__name__}: {exc}"))
         return
-    records.append(CheckRecord(suite, name, witness is None, witness or ""))
+    records.append(CheckRecord(suite, name, True))
 
 
 def _rng(cfg: SuiteConfig, suite: str) -> SplitMix64:
@@ -157,36 +172,31 @@ def suite_geometry(cfg: SuiteConfig) -> list[CheckRecord]:
         for _ in range(5):
             alpha = _random_vector(rng, dim)
             x = _random_vector(rng, dim, nonzero=False)
-            if reflect(reflect(x, alpha), alpha) != x:
-                return f"s_a s_a x != x at alpha={alpha}, x={x}"
-        return None
+            yield (reflect(reflect(x, alpha), alpha) != x, 0,
+                   lambda: f"s_a s_a x != x at alpha={alpha}, x={x}")
 
     def wall():
         for _ in range(5):
             alpha = _random_vector(rng, dim)
             x = _random_vector(rng, dim, nonzero=False)
             t = project(x, alpha)
-            if t.dot(alpha) != 0:
-                return f"<tau x, alpha> = {t.dot(alpha)} at alpha={alpha}, x={x}"
-            if project(t, alpha) != t:
-                return f"tau not idempotent at alpha={alpha}, x={x}"
-        return None
+            yield (t.dot(alpha) != 0, 0,
+                   lambda: f"<tau x, alpha> = {t.dot(alpha)} at alpha={alpha}, x={x}")
+            yield (project(t, alpha) != t, 0,
+                   lambda: f"tau not idempotent at alpha={alpha}, x={x}")
 
     def midpoint():
         for _ in range(5):
             alpha = _random_vector(rng, dim)
             x = _random_vector(rng, dim, nonzero=False)
-            if project(x, alpha) != (x + reflect(x, alpha)).scale(Fraction(1, 2)):
-                return f"tau != (id + s)/2 at alpha={alpha}, x={x}"
-        return None
+            yield (project(x, alpha) != (x + reflect(x, alpha)).scale(Fraction(1, 2)), 0,
+                   lambda: f"tau != (id + s)/2 at alpha={alpha}, x={x}")
 
     def orthogonality():
         for i in range(len(base)):
             for j in range(i + 1, len(base)):
                 d = base[i].dot(base[j])
-                if d != 0:
-                    return f"<alpha_{i + 1}, alpha_{j + 1}> = {d}"
-        return None
+                yield d != 0, 0, lambda: f"<alpha_{i + 1}, alpha_{j + 1}> = {d}"
 
     def decomposition():
         for _ in range(5):
@@ -196,22 +206,20 @@ def suite_geometry(cfg: SuiteConfig) -> list[CheckRecord]:
             for c, a in zip(coeffs, base):
                 hat = hat - a.scale(c)
             for k, a in enumerate(base):
-                if hat.dot(a) != 0:
-                    return f"<xi_hat, alpha_{k + 1}> = {hat.dot(a)} for xi={xi}"
-        return None
+                yield (hat.dot(a) != 0, 0,
+                       lambda: f"<xi_hat, alpha_{k + 1}> = {hat.dot(a)} for xi={xi}")
 
     def json_roundtrip():
         for sub in _standard_subsystems():
-            if OrthogonalSubsystem.from_json(sub.to_json()) != sub:
-                return f"roundtrip mismatch for {sub.to_json()}"
-        return None
+            yield (OrthogonalSubsystem.from_json(sub.to_json()) != sub, 0,
+                   lambda: f"roundtrip mismatch for {sub.to_json()}")
 
-    _check(rec, "geometry", "reflection-involution", involution)
-    _check(rec, "geometry", "projection-wall", wall)
-    _check(rec, "geometry", "projection-midpoint", midpoint)
-    _check(rec, "geometry", "root-orthogonality", orthogonality)
-    _check(rec, "geometry", "direction-decomposition", decomposition)
-    _check(rec, "geometry", "json-roundtrip", json_roundtrip)
+    _check(rec, "geometry", "reflection-involution", involution())
+    _check(rec, "geometry", "projection-wall", wall())
+    _check(rec, "geometry", "projection-midpoint", midpoint())
+    _check(rec, "geometry", "root-orthogonality", orthogonality())
+    _check(rec, "geometry", "direction-decomposition", decomposition())
+    _check(rec, "geometry", "json-roundtrip", json_roundtrip())
     return rec
 
 
@@ -242,12 +250,11 @@ def suite_commutativity(cfg: SuiteConfig) -> list[CheckRecord]:
                     # mixed multiplicities between the two factors
                     c = (apply_T_poly(sub, xi, apply_T_poly(perturbed, eta, p))
                          - apply_T_poly(sub, eta, apply_T_poly(perturbed, xi, p)))
-                if not c.is_zero():
-                    return (f"[T_xi, T_eta] p = {c.to_text()[:120]} for xi={xi}, "
-                            f"eta={eta}, p={p.to_text()[:80]}")
-            return None
+                yield (not c.is_zero(), 0,
+                       lambda: (f"[T_xi, T_eta] p = {c.to_text()[:120]} for xi={xi}, "
+                                f"eta={eta}, p={p.to_text()[:80]}"))
 
-        _check(rec, "commutativity", name, run)
+        _check(rec, "commutativity", name, run())
     return rec
 
 
@@ -271,12 +278,11 @@ def suite_intertwining(cfg: SuiteConfig) -> list[CheckRecord]:
                 img, _ = chi_poly_scaled(sub, p)
                 lhs = apply_T_poly(lhs_sub, xi, img)
                 rhs, _ = chi_poly_scaled(sub, directional_derivative(p, xi))
-                if lhs != rhs:
-                    return (f"T(chi p) != chi(d p) for p={p.to_text()[:80]}, xi={xi}; "
-                            f"difference {(lhs - rhs).to_text()[:120]}")
-            return None
+                yield (lhs != rhs, 0,
+                       lambda: (f"T(chi p) != chi(d p) for p={p.to_text()[:80]}, xi={xi}; "
+                                f"difference {(lhs - rhs).to_text()[:120]}"))
 
-        _check(rec, "intertwining", name, run)
+        _check(rec, "intertwining", name, run())
     return rec
 
 
@@ -294,10 +300,9 @@ def suite_inverse(cfg: SuiteConfig) -> list[CheckRecord]:
             for m in range(7):
                 x_m = MPoly.monomial((m,))
                 back = chi_inverse_one_var(chi_one_var(x_m, kap), kap + bump)
-                if back != x_m:
-                    got = back.scale * back.poly.terms.get((m,), 0)
-                    return f"D(chi x^{m}) coefficient {got} at kappa={kap}"
-        return None
+                yield (back != x_m, 0,
+                       lambda: (f"D(chi x^{m}) coefficient "
+                                f"{back.scale * back.poly.terms.get((m,), 0)} at kappa={kap}"))
 
     def ek_roundtrip():
         for gamma in (Fraction(0), Fraction(1, 2), Fraction(1)):
@@ -305,10 +310,9 @@ def suite_inverse(cfg: SuiteConfig) -> list[CheckRecord]:
                 p = _random_poly(rng, 1, 5, 3)
                 back = ek_left_inverse_D(erdelyi_kober_I(p, gamma, delta),
                                          gamma, delta + bump)
-                if back != p:
-                    return (f"D I != id for gamma={gamma}, delta={delta}, "
-                            f"p={p.to_text()[:60]}")
-        return None
+                yield (back != p, 0,
+                       lambda: (f"D I != id for gamma={gamma}, delta={delta}, "
+                                f"p={p.to_text()[:60]}"))
 
     def numeric_exp():
         # chi(exp) has the kernel's integral form, so its jet is available
@@ -319,14 +323,12 @@ def suite_inverse(cfg: SuiteConfig) -> list[CheckRecord]:
                       for n in range(4)]
             for x in (0.3, 1.0, -0.75):
                 got = chi_inverse_numeric(kk, derivs, x)
-                if abs(got - math.exp(x)) > 1e-8:
-                    return (f"inverse of chi(exp) = {got!r} != e^{x} "
-                            f"(kappa={kap}, err={abs(got - math.exp(x)):.3e})")
-        return None
+                yield (abs(got - math.exp(x)), 1e-8,
+                       lambda: f"inverse of chi(exp) = {got!r} != e^{x} (kappa={kap})")
 
-    _check(rec, "inverse", "monomial-roundtrip", monomials)
-    _check(rec, "inverse", "fractional-roundtrip", ek_roundtrip)
-    _check(rec, "inverse", "numeric-exp", numeric_exp)
+    _check(rec, "inverse", "monomial-roundtrip", monomials())
+    _check(rec, "inverse", "fractional-roundtrip", ek_roundtrip())
+    _check(rec, "inverse", "numeric-exp", numeric_exp())
     return rec
 
 
@@ -354,31 +356,25 @@ def suite_kummer(cfg: SuiteConfig) -> list[CheckRecord]:
     def goldens():
         for (kap, z), want in _KERNEL_GOLDENS.items():
             got = bold_M(kap, z)
-            if abs(got - want) > 5e-13:
-                return f"bold M_{kap}({z}) = {got!r}, expected {want!r}"
-        return None
+            yield (abs(got - want), 5e-13,
+                   lambda: f"bold M_{kap}({z}) = {got!r}, expected {want!r}")
 
     def modulus_bound():
         for kap in (0.5, 1.0, 2.0):
             ys = np.array([rng.uniform(-50, 50) for _ in range(200)])
             worst = float(np.abs(bold_M_on_imaginary(kap, ys)).max()) * gamma_plus_one(kap)
-            if worst > 1.0 + 1e-12:
-                return f"|M| = {worst} > 1 at kappa={kap}"
-        return None
+            yield worst, 1.0 + 1e-12, lambda: f"sup |M| on 200 points at kappa={kap}"
 
     def decay():
         for lam, want in _DECAY_GOLDENS.items():
             got = abs(bold_M(0.5, 1j * lam))
-            if abs(got - want) > 1e-9:
-                return f"|bold M_(1/2)({lam} i)| = {got!r}, expected {want!r}"
-        return None
+            yield (abs(got - want), 1e-9,
+                   lambda: f"|bold M_(1/2)({lam} i)| = {got!r}, expected {want!r}")
 
     def zero_kappa_exp():
         for _ in range(10):
             z = complex(rng.uniform(-5, 5), rng.uniform(-20, 20))
-            if bold_M(0.0, z) != np.exp(z):
-                return f"bold M_0({z}) != exp({z})"
-        return None
+            yield bold_M(0.0, z) != np.exp(z), 0, lambda: f"bold M_0({z}) != exp({z})"
 
     def derivative_cross():
         # shift identity against the weighted-rule form of the same
@@ -396,30 +392,23 @@ def suite_kummer(cfg: SuiteConfig) -> list[CheckRecord]:
                 via_shift = bold_M_derivative(kap, 1j * y, 1)
                 via_rule = (np.exp(1j * y) * complex(np.dot(w, (1.0 - v) * np.exp(-1j * y * v)))
                             / math.gamma(kap))
-                if abs(via_shift - via_rule) > 1e-12:
-                    return (f"derivative mismatch {abs(via_shift - via_rule):.3e} "
-                            f"at kappa={kap}, z={y}i")
-        return None
+                yield (abs(via_shift - via_rule), 1e-12,
+                       lambda: f"derivative mismatch at kappa={kap}, z={y}i")
 
     def eigen_residual():
         for kap in (0.5, 1.0, 1.5):
             e = eigen_rank_one(kap, 3.0)
             for x in (0.5, -1.0, 2.0):
                 got = one_var_T(kap + bump, e, x)
-                want = 3j * e.value(x)
-                if abs(got - want) > 1e-12:
-                    return (f"|T E - i lam E| = {abs(got - want):.3e} at "
-                            f"kappa={kap}, x={x}")
-        return None
+                yield (abs(got - 3j * e.value(x)), 1e-12,
+                       lambda: f"|T E - i lam E| at kappa={kap}, x={x}")
 
     def ode_residual():
         for kap in (0.5, 1.5):
             for lam in (1.0, 10.0):
                 for x in (0.5, -2.0):
-                    r = generalized_ode_residual(kap, lam, x)
-                    if r > 1e-10:
-                        return f"ode residual {r:.3e} at kappa={kap}, lam={lam}, x={x}"
-        return None
+                    yield (generalized_ode_residual(kap, lam, x), 1e-10,
+                           lambda: f"ode residual at kappa={kap}, lam={lam}, x={x}")
 
     def regime_switch():
         # the two regime helpers agree on either side of |z| = max(4, kappa)
@@ -428,10 +417,8 @@ def suite_kummer(cfg: SuiteConfig) -> list[CheckRecord]:
                 z = 1j * y * _series_radius(kap)
                 series = _series_nonbold(kap, z) / gamma_plus_one(kap)
                 cf = _cf_bold(kap, z, cmath.exp, cmath.phase)
-                if abs(series - cf) > 1e-13 * abs(cf):
-                    return (f"series/continued-fraction gap {abs(series - cf) / abs(cf):.3e} "
-                            f"(relative) at kappa={kap}, z={z}")
-        return None
+                yield (abs(series - cf), 1e-13 * abs(cf),
+                       lambda: f"series/continued-fraction gap at kappa={kap}, z={z}")
 
     def kernel_domain():
         # 16 seeded points against the 40-digit reference: log-uniform kappa
@@ -442,21 +429,18 @@ def suite_kummer(cfg: SuiteConfig) -> list[CheckRecord]:
             t = rng.uniform(-MAX_ARG, MAX_ARG) if i % 4 == 3 else math.pi / 2
             z = cmath.rect(r, t)
             ref = _bold_M_reference(kap, z)
-            got = bold_M(kap, z)
-            if abs(got - ref) > 1e-13 * abs(ref):
-                return (f"kernel error {abs(got - ref) / abs(ref):.3e} (relative) "
-                        f"at kappa={kap!r}, z={z!r}")
-        return None
+            yield (abs(bold_M(kap, z) - ref), 1e-13 * abs(ref),
+                   lambda: f"kernel error at kappa={kap!r}, z={z!r}")
 
-    _check(rec, "kummer", "kernel-goldens", goldens)
-    _check(rec, "kummer", "modulus-bound", modulus_bound)
-    _check(rec, "kummer", "kernel-decay", decay)
-    _check(rec, "kummer", "zero-kappa-exp", zero_kappa_exp)
-    _check(rec, "kummer", "derivative-crosscheck", derivative_cross)
-    _check(rec, "kummer", "eigen-residual", eigen_residual)
-    _check(rec, "kummer", "ode-residual", ode_residual)
-    _check(rec, "kummer", "regime-switch", regime_switch)
-    _check(rec, "kummer", "kernel-domain", kernel_domain)
+    _check(rec, "kummer", "kernel-goldens", goldens())
+    _check(rec, "kummer", "modulus-bound", modulus_bound())
+    _check(rec, "kummer", "kernel-decay", decay())
+    _check(rec, "kummer", "zero-kappa-exp", zero_kappa_exp())
+    _check(rec, "kummer", "derivative-crosscheck", derivative_cross())
+    _check(rec, "kummer", "eigen-residual", eigen_residual())
+    _check(rec, "kummer", "ode-residual", ode_residual())
+    _check(rec, "kummer", "regime-switch", regime_switch())
+    _check(rec, "kummer", "kernel-domain", kernel_domain())
     return rec
 
 
@@ -478,11 +462,10 @@ def suite_laplacian(cfg: SuiteConfig) -> list[CheckRecord]:
                     expanded_kappas[0] += Fraction(1, 10)
                 p = _random_poly(rng, n, 5, 5)
                 split = laplacian_direct(p, kappas, expanded_kappas)
-                if not split.match:
-                    gap = split.sum_sq - split.expanded
-                    return (f"assemblies differ by {gap.to_text()[:120]} for "
-                            f"kappas={[str(k) for k in kappas]}, p={p.to_text()[:60]}")
-        return None
+                yield (not split.match, 0,
+                       lambda: (f"assemblies differ by "
+                                f"{(split.sum_sq - split.expanded).to_text()[:120]} for "
+                                f"kappas={[str(k) for k in kappas]}, p={p.to_text()[:60]}"))
 
     def classical_limit():
         p = _random_poly(rng, 3, 5, 5)
@@ -490,12 +473,11 @@ def suite_laplacian(cfg: SuiteConfig) -> list[CheckRecord]:
         lap = MPoly.zero(3)
         for j in range(3):
             lap = lap + partial_derivative(partial_derivative(p, j), j)
-        if split.sum_sq != lap or split.expanded != lap:
-            return f"zero-multiplicity case disagrees with the plain Laplacian"
-        return None
+        yield (split.sum_sq != lap or split.expanded != lap, 0,
+               lambda: "zero-multiplicity case disagrees with the plain Laplacian")
 
-    _check(rec, "laplacian", "split-agreement", run)
-    _check(rec, "laplacian", "classical-limit", classical_limit)
+    _check(rec, "laplacian", "split-agreement", run())
+    _check(rec, "laplacian", "classical-limit", classical_limit())
     return rec
 
 
@@ -534,12 +516,11 @@ def suite_multivar_eigen(cfg: SuiteConfig) -> list[CheckRecord]:
     fault_shift = 0.1 if cfg.fault("multivar_eigen") else 0.0
 
     for label, sub in _eigen_families():
-        def run(sub=sub, label=label):
+        def run(sub=sub):
             lam = [rng.uniform(-2, 2) for _ in range(sub.dim)]
             e = eigen_multivar(sub, lam)
             at_zero = e.value(np.zeros(sub.dim))
-            if abs(at_zero - 1.0) > 1e-14:
-                return f"E(0) = {at_zero!r} != 1"
+            yield abs(at_zero - 1.0), 1e-14, lambda: f"E(0) = {at_zero!r} != 1"
             expected_lam = list(lam)
             expected_lam[0] += fault_shift
             for _ in range(4):
@@ -548,12 +529,10 @@ def suite_multivar_eigen(cfg: SuiteConfig) -> list[CheckRecord]:
                 got = apply_T_numeric(sub, xi, e, x)
                 want = 1j * sum(l * float(c) for l, c in
                                 zip(expected_lam, xi.to_floats())) * e.value(x)
-                if abs(got - want) > 1e-10:
-                    return (f"|T E - i<lam,xi> E| = {abs(got - want):.3e} at "
-                            f"x={x.tolist()}, xi={xi}")
-            return None
+                yield (abs(got - want), 1e-10,
+                       lambda: f"|T E - i<lam,xi> E| at x={x.tolist()}, xi={xi}")
 
-        _check(rec, "multivar_eigen", f"eigen-{label}", run)
+        _check(rec, "multivar_eigen", f"eigen-{label}", run())
     return rec
 
 
@@ -578,57 +557,48 @@ def suite_transform(cfg: SuiteConfig) -> list[CheckRecord]:
         for kap, table in _TRANSFORM_GOLDENS.items():
             for lam, want in table.items():
                 got = kummer_transform(bump, kap, lam)
-                if abs(got - want) > 2e-9:
-                    return f"F_{kap}(bump)({lam}) = {got!r}, expected {want}"
-        return None
+                yield (abs(got - want), 2e-9,
+                       lambda: f"F_{kap}(bump)({lam}) = {got!r}, expected {want}")
 
     def zero_frequency():
         l1 = l1_norm(bump)
         for kap in (0.5, 1.0, 2.0):
             got = kummer_transform(bump, kap, 0.0)
             want = l1 / gamma_plus_one(kap)
-            if abs(got - want) > 1e-10:
-                return f"F_{kap}(bump)(0) = {got!r}, expected ||f||_1 / Gamma = {want}"
-        return None
+            yield (abs(got - want), 1e-10,
+                   lambda: f"F_{kap}(bump)(0) = {got!r}, expected ||f||_1 / Gamma = {want}")
 
     def sup_bound():
         lams = [0.5 * k for k in range(11)]
         for kap in (0.5, 1.0):
-            ok, observed, allowed = sup_norm_bound_check(bump, kap, lams)
-            if not ok:
-                return f"sup |F| = {observed} exceeds {allowed} at kappa={kap}"
-        return None
+            _, observed, allowed = sup_norm_bound_check(bump, kap, lams)
+            yield observed, allowed, lambda: f"sup |F_{kap}(bump)| on lam = 0, 0.5, ..., 5"
 
     def factorization():
         report = factorization_check(bump, 0.5, [0.5, 2.0],
                                      dual_kappa=0.55 if faulted else None)
-        if report.max_diff > 1e-10:
-            return f"factorization gap {report.max_diff:.3e}"
-        return None
+        yield report.max_diff, 1e-10, lambda: "factorization gap of F_0.5(bump) at lam = 0.5, 2"
 
     def decay():
         report = c0_decay_check(bump, 0.5)
-        if not report.ok:
-            return (f"|F|({report.lams[-1]}) = {report.values[-1]} "
-                    f">= {report.threshold}")
-        return None
+        # the bound is strict: the largest double below the threshold
+        yield (report.values[-1], math.nextafter(report.threshold, 0.0),
+               lambda: f"|F_0.5(bump)|({report.lams[-1]}) against {report.threshold}")
 
     def classical_limit():
         ind = get_function("indicator")
         got = kummer_transform(ind, 0.0, 2.0)
-        if abs(got - math.sin(2.0)) > 1e-12:
-            return f"F_0(indicator)(2) = {got!r}, expected sin(2)"
+        yield (abs(got - math.sin(2.0)), 1e-12,
+               lambda: f"F_0(indicator)(2) = {got!r}, expected sin(2)")
         got_pi = kummer_transform(ind, 0.0, math.pi)
-        if abs(got_pi) > 1e-12:
-            return f"F_0(indicator)(pi) = {got_pi!r}, expected 0"
-        return None
+        yield abs(got_pi), 1e-12, lambda: f"F_0(indicator)(pi) = {got_pi!r}, expected 0"
 
-    _check(rec, "transform", "bump-goldens", goldens)
-    _check(rec, "transform", "zero-frequency", zero_frequency)
-    _check(rec, "transform", "sup-bound", sup_bound)
-    _check(rec, "transform", "factorization", factorization)
-    _check(rec, "transform", "c0-decay", decay)
-    _check(rec, "transform", "classical-limit", classical_limit)
+    _check(rec, "transform", "bump-goldens", goldens())
+    _check(rec, "transform", "zero-frequency", zero_frequency())
+    _check(rec, "transform", "sup-bound", sup_bound())
+    _check(rec, "transform", "factorization", factorization())
+    _check(rec, "transform", "c0-decay", decay())
+    _check(rec, "transform", "classical-limit", classical_limit())
     return rec
 
 

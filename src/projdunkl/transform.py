@@ -116,7 +116,9 @@ class FactorizationReport:
 
     @property
     def max_diff(self) -> float:
-        return max(abs(a - b) for a, b in zip(self.direct, self.through_dual))
+        """The largest |direct - through_dual|, NaN if any of them is NaN
+        (Python's max would keep its first value against a NaN)."""
+        return float(np.max([abs(a - b) for a, b in zip(self.direct, self.through_dual)]))
 
 
 def _dual_core(f, kappa: float, a: float, xmin: float) -> float:

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from projdunkl import (
     MPoly,
@@ -49,6 +50,13 @@ def _verdict(name: str, ok: bool, detail: str, elapsed: float, budget: float) ->
             f"[{elapsed:.1f}s / {budget:.0f}s]")
     print(line)
     assert ok, line
+
+
+def _worse(worst: float, err: float) -> float:
+    """max(worst, err), NaN once either is NaN: Python's max keeps its first
+    value against a NaN, so a NaN error would vanish from the verdict, and
+    every verdict's `worst < tol` is false for NaN and inf alike."""
+    return float(np.maximum(worst, err))
 
 
 def _random_vector(rng: SplitMix64, dim: int) -> RationalVector:
@@ -140,7 +148,7 @@ def test_criterion_3_inverse_map():
                   for n in range(n_jet)]
         for x in (0.5, 1.0, -0.8):
             err = abs(chi_inverse_numeric(kap, derivs, x) - math.exp(x))
-            worst = max(worst, err)
+            worst = _worse(worst, err)
     _verdict("inverse-map", failures == 0 and worst < 1e-8,
              f"{cases} exact monomial roundtrips, {failures} misses; "
              f"jet inverse of exp worst |err| = {worst:.2e} (tol 1e-08)",
@@ -155,9 +163,9 @@ def test_criterion_4_rank_one_eigenfunctions():
         for lam in (1.0, 3.0, 10.0):
             e = eigen_rank_one(kap, lam)
             for x in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
-                worst_eig = max(worst_eig,
-                                abs(one_var_T(kap, e, x) - 1j * lam * e.value(x)))
-                worst_ode = max(worst_ode, generalized_ode_residual(kap, lam, x))
+                worst_eig = _worse(worst_eig,
+                                   abs(one_var_T(kap, e, x) - 1j * lam * e.value(x)))
+                worst_ode = _worse(worst_ode, generalized_ode_residual(kap, lam, x))
     _verdict("rank-one-eigen", worst_eig < 1e-12 and worst_ode < 1e-10,
              f"eigen residual {worst_eig:.2e} (tol 1e-12), "
              f"second-order residual {worst_ode:.2e} (tol 1e-10)",
@@ -170,12 +178,12 @@ def test_criterion_5_kernel_bound_and_agreement():
     worst_mod = 0.0
     for kap in (0.5, 1.0, 2.0):
         vals = np.abs(bold_M_on_imaginary(kap, ys)) * math.gamma(kap + 1.0)
-        worst_mod = max(worst_mod, float(np.max(vals)))
+        worst_mod = _worse(worst_mod, float(np.max(vals)))
     worst_gap = 0.0
     for kap in (0.5, 1.0, 2.0):
         for y in (2.0, 6.0, 10.0, 30.0, 400.0):  # series, continued fraction
             ref = _bold_M_reference(kap, 1j * y)
-            worst_gap = max(worst_gap, abs(ref - bold_M(kap, 1j * y)) / abs(ref))
+            worst_gap = _worse(worst_gap, abs(ref - bold_M(kap, 1j * y)) / abs(ref))
     _verdict("kernel-bound", worst_mod <= 1.0 and worst_gap < 1e-13,
              f"sup |M| = {worst_mod:.15f} on 1001-point grid (bound 1), "
              f"relative gap to 40-digit 1F1 {worst_gap:.2e} (tol 1e-13)",
@@ -193,11 +201,11 @@ def test_criterion_6_transform_bounds():
         for kap in (0.0, 0.5, 1.0, 2.0):
             ok, observed, allowed = sup_norm_bound_check(f, kap, lams)
             ok_sup = ok_sup and ok
-            worst_margin = min(worst_margin, allowed - observed)
+            worst_margin = float(np.minimum(worst_margin, allowed - observed))
     worst_fact = 0.0
     for kap in (0.5, 2.0):
         rep = factorization_check(bump, kap, [0.0, 0.5, 1.0, 2.0, 3.5, 5.0])
-        worst_fact = max(worst_fact, rep.max_diff)
+        worst_fact = _worse(worst_fact, rep.max_diff)
     _verdict("transform-bounds", ok_sup and worst_fact < 1e-10,
              f"sup-norm bound holds (min margin {worst_margin:.2e}); "
              f"factorization max diff {worst_fact:.2e} (tol 1e-10)",
@@ -256,7 +264,7 @@ def test_criterion_8_multivar_eigenfunctions():
             xi = _random_vector(rng, sub.dim)
             got = apply_T_numeric(sub, xi, e, x)
             want = e.eigenvalue(xi) * e.value(x)
-            worst = max(worst, abs(got - want))
+            worst = _worse(worst, abs(got - want))
     _verdict("multivar-eigen", worst < 1e-10 and origin_ok,
              f"{len(families)} families x 20 points, residual {worst:.2e} "
              f"(tol 1e-10), E(0) = 1 {'holds' if origin_ok else 'fails'}",
@@ -278,3 +286,14 @@ def test_criterion_9_suites_catch_faults():
              f"{len(SUITE_NAMES)} designated faults each flip their suite "
              f"with a witness (silent: {silent or 'none'})",
              time.monotonic() - t0, 30.0)
+
+
+def test_a_non_finite_error_fails_its_verdict():
+    # the NaN stays whichever case it came from, and fails every `< tol`
+    for errs in ([math.nan, 1e-16], [1e-16, math.nan], [0.0, math.inf]):
+        worst = 0.0
+        for err in errs:
+            worst = _worse(worst, err)
+        assert not worst < 1e-8
+        with pytest.raises(AssertionError, match=r"^\[FAIL\] probe"):
+            _verdict("probe", worst < 1e-8, f"worst {worst}", 0.0, 1.0)

@@ -617,13 +617,13 @@ def test_dual_chi_array_calls_g_once_per_block():
 @pytest.mark.parametrize("depth", [0, 1, 9, 24])
 def test_segment_mesh_grades_toward_zero_only(depth, monkeypatch):
     # graded_panels' first cell and two middle cells at this depth, then a
-    # plain cell where graded_panels grades toward 1; every depth reads the
-    # one deepest graded rule
+    # plain cell where graded_panels grades toward 1; the first cell is the
+    # graded rule of this depth, and reads no deeper one
     monkeypatch.setattr(quadrature, "_cache", {})
     order = intertwine._DUAL_ORDER
     x, w = intertwine._segment_mesh(depth)
-    assert [key for key in quadrature._cache if key[1]] == [
-        ((order + 1) // 2, intertwine._DUAL_DEPTH, 0.0)]
+    assert [key for key in quadrature._cache if key[1]] == (
+        [((order + 1) // 2, depth, 0.0)] if depth else [])
     assert np.all(np.diff(x) > 0) and 0.0 < x[0] and x[-1] < 1.0
     assert w.sum() == pytest.approx(1.0, rel=1e-15)
     gx, gw = quadrature.graded_panels(0.0, 1.0, order, depth=depth)

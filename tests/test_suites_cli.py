@@ -1,8 +1,11 @@
 """Verification suites and the command-line front end."""
+import hashlib
 import json
+import math
 
 import pytest
 
+from projdunkl import suites
 from projdunkl.cli import main
 from projdunkl.suites import (
     SUITE_NAMES,
@@ -87,6 +90,46 @@ def test_single_worker_matches_parallel():
     a = run_suites(["geometry", "inverse"], config=SuiteConfig(workers=1)).to_jsonl()
     b = run_suites(["geometry", "inverse"], config=SuiteConfig(workers=4)).to_jsonl()
     assert a == b
+
+
+# sha256 of run_suites(None, SuiteConfig(seed=s)).to_jsonl(), recorded before
+# the checks became generators of (observed, tolerance, where) cases: a passing
+# report has no float text, so it is byte-stable across platforms
+_REPORT_DIGESTS = {
+    1: "973c3dd717e4dd5d0ae5aa6b5011edaa2f7891894f28b947ba8432caa5ec07ac",
+    7: "5cdfb3b1d7f77022aaad86559b182d332c7e079812bb74640e04a892bccc9ff8",
+    12345: "365c0d78b0b768c4d7e9efcb1b6bdb7e60cd03869f2958aebd18b714473b62a9",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_REPORT_DIGESTS))
+def test_passing_report_is_frozen(seed):
+    text = run_suites(None, SuiteConfig(seed=seed)).to_jsonl()
+    assert hashlib.sha256(text.encode()).hexdigest() == _REPORT_DIGESTS[seed]
+
+
+# the checks that read a value of these bindings: every other one must pass
+_NAN_READERS = {
+    "kummer": {"kernel-goldens", "kernel-decay", "zero-kappa-exp", "derivative-crosscheck",
+               "eigen-residual", "ode-residual", "kernel-domain"},
+    "multivar_eigen": {f"eigen-{label}" for label, _ in suites._eigen_families()},
+    "transform": {"bump-goldens", "zero-frequency", "classical-limit"},
+}
+
+
+def test_a_nan_fails_every_check_that_reads_it(monkeypatch):
+    # every ordered comparison with a NaN is false, so a check that asks
+    # "err > tol?" would pass a NaN; the one comparison asks "err <= tol?"
+    for name in ("bold_M", "bold_M_derivative", "one_var_T", "generalized_ode_residual",
+                 "kummer_transform", "apply_T_numeric"):
+        monkeypatch.setattr(suites, name, lambda *args, **kwargs: math.nan)
+    report = run_suites(sorted(_NAN_READERS))
+    failed = {(r.suite, r.check) for r in report.records if not r.ok}
+    assert failed == {(suite, check) for suite, checks in _NAN_READERS.items()
+                      for check in checks}
+    # a failed case, not a raised exception, with the case and its numbers
+    for r in report.records:
+        assert r.ok or "(observed " in r.witness, r.witness
 
 
 # ---- CLI ----

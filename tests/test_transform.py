@@ -325,6 +325,21 @@ def test_factorization_detects_wrong_dual_parameter():
     assert bad.max_diff > 1e-3
 
 
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_factorization_gap_keeps_a_nan(position):
+    # a NaN on either side at any lam is the gap, wherever the finite ones are
+    lams = (0.0, 1.0, 2.0)
+    direct = (1.0 + 1.0j, 2.0, 0.5j)
+    through = (1.0 + 1.0j, 2.0 + 1e-3, 0.5j)
+    assert transform.FactorizationReport(lams, direct, through).max_diff == pytest.approx(1e-3)
+    for nan_side in (0, 1):
+        sides = [list(direct), list(through)]
+        sides[nan_side][position] = complex(math.nan, 0.0)
+        report = transform.FactorizationReport(lams, *map(tuple, sides))
+        assert math.isnan(report.max_diff)
+
+
 @pytest.mark.parametrize("kappa", [0.37, 0.5, 1.3, 2.0, 2.7])
 def test_factorization_gate_over_domain(kappa):
     bump = get_function("bump")
