@@ -27,13 +27,13 @@ from .polycore import (
 from .gammaratio import GammaRatio, pochhammer
 from .functions import TestFunction, catalog, get_function
 from .opengine import (
-    LaplacianSplit,
     ProjectionDunklOperator,
     apply_T_numeric,
     apply_T_poly,
     apply_T_poly_decomposed,
     commutator_poly,
-    laplacian_direct,
+    laplacian_expanded,
+    laplacian_sum_sq,
     one_var_T,
     one_var_T_poly,
     one_var_T_squared,
@@ -68,13 +68,11 @@ from .kummer import (
 )
 from .transform import (
     TransformRequest,
-    c0_decay_check,
-    factorization_check,
     kummer_transform,
     l1_norm,
-    sup_norm_bound_check,
     transform_csv,
     transform_grid,
+    transform_through_dual,
 )
 from .prng import SplitMix64
 from .suites import SUITE_NAMES, SuiteConfig, VerificationReport, run_suites
@@ -89,9 +87,9 @@ __all__ = [
     "partial_derivative", "poly_eval", "reflection_difference",
     "GammaRatio", "pochhammer",
     "TestFunction", "catalog", "get_function",
-    "LaplacianSplit", "ProjectionDunklOperator", "apply_T_numeric",
-    "apply_T_poly", "apply_T_poly_decomposed", "commutator_poly",
-    "laplacian_direct", "one_var_T", "one_var_T_poly", "one_var_T_squared",
+    "ProjectionDunklOperator", "apply_T_numeric", "apply_T_poly",
+    "apply_T_poly_decomposed", "commutator_poly", "laplacian_expanded",
+    "laplacian_sum_sq", "one_var_T", "one_var_T_poly", "one_var_T_squared",
     "rho_poly",
     "GPoly", "chi_inverse_numeric", "chi_inverse_one_var", "chi_numeric",
     "chi_one_var", "chi_one_var_numeric", "chi_poly_scaled", "dual_chi",
@@ -100,9 +98,8 @@ __all__ = [
     "MultivarEigenfunction", "bold_M", "bold_M_array", "bold_M_derivative",
     "bold_M_jet", "bold_M_on_imaginary", "eigen_multivar", "eigen_rank_one",
     "generalized_ode_residual", "kummer_M",
-    "TransformRequest", "c0_decay_check", "factorization_check",
-    "kummer_transform", "l1_norm", "sup_norm_bound_check", "transform_csv",
-    "transform_grid",
+    "TransformRequest", "kummer_transform", "l1_norm", "transform_csv",
+    "transform_grid", "transform_through_dual",
     "SplitMix64",
     "SUITE_NAMES", "SuiteConfig", "VerificationReport", "run_suites",
     "__version__",

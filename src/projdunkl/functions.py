@@ -7,7 +7,7 @@ A means the function vanishes outside [-A, A] (None for unbounded support).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,28 +37,6 @@ class TestFunction:
         if self.dim != 1:
             raise ValueError("scalar derivative only defined for dim 1")
         return self.gradient(x)
-
-    def check_gradient_fd(self, points: Sequence, rel_tol: float = 1e-6, h: float = 1e-6) -> float:
-        """Max relative gap between the analytic gradient and central differences."""
-        worst = 0.0
-        for x in points:
-            if self.dim == 1:
-                fd = (self.value(x + h) - self.value(x - h)) / (2 * h)
-                an = self.gradient(x)
-                scale = max(abs(an), abs(fd), 1e-9)
-                worst = max(worst, abs(an - fd) / scale)
-            else:
-                x = np.asarray(x, dtype=float)
-                an = np.asarray(self.gradient(x))
-                for j in range(self.dim):
-                    e = np.zeros(self.dim)
-                    e[j] = h
-                    fd = (self.value(x + e) - self.value(x - e)) / (2 * h)
-                    scale = max(abs(an[j]), abs(fd), 1e-9)
-                    worst = max(worst, abs(an[j] - fd) / scale)
-        if worst > rel_tol:
-            raise AssertionError(f"{self.name}: gradient mismatch {worst:.3e} > {rel_tol}")
-        return worst
 
 
 # ---- rank-one catalog entries ----------------------------------------------

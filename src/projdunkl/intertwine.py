@@ -292,8 +292,7 @@ def chi_one_var_numeric(kappa: float, f, x):
     from 0.05 to 2.7 stays below 4e-15 at c = 1 and i (measured 1.1e-15) and
     below 2e-14 at c up to 8i (measured 6.1e-15).
     """
-    value = f.value if hasattr(f, "value") else f
-    return erdelyi_kober_I_numeric(0, kappa, value, x)
+    return erdelyi_kober_I_numeric(0, kappa, f, x)
 
 
 def chi_numeric(subsystem: OrthogonalSubsystem, f, x):
@@ -301,7 +300,6 @@ def chi_numeric(subsystem: OrthogonalSubsystem, f, x):
 
     Each root takes the Gauss-Jacobi rule of its weight in s = 1 - t_j.
     """
-    value = f.value if hasattr(f, "value") else f
     if not all(cmath.isfinite(v) for v in x):
         raise ValueError(f"x = {list(x)} is not a finite point")
     rules = []
@@ -315,7 +313,7 @@ def chi_numeric(subsystem: OrthogonalSubsystem, f, x):
     for idx in iter_product(range(_TENSOR_ORDER), repeat=len(rules)):
         t = [rules[j][0][i] for j, i in enumerate(idx)]
         w = math.prod(rules[j][1][i] for j, i in enumerate(idx))
-        total = total + w * value(h_map(subsystem, t, x))
+        total = total + w * f(h_map(subsystem, t, x))
     return total / norm
 
 
@@ -379,7 +377,6 @@ def dual_chi(kappa: float, g, x, support_bound: float | None = None):
         raise ValueError("x = nan is not a point of the line")
     if (xs == 0).any():
         raise ValueError("the dual map is evaluated away from the origin")
-    value = g.value if hasattr(g, "value") else g
     bound = support_bound
     if bound is None:
         bound = getattr(g, "support_bound", None)
@@ -390,7 +387,7 @@ def dual_chi(kappa: float, g, x, support_bound: float | None = None):
     live = np.flatnonzero(np.abs(flat) < bound)
     if live.size:
         corners = sorted({float(c) for c in getattr(g, "corners", ())})
-        out[live] = _dual_live(kappa, value, flat[live], float(bound), corners)
+        out[live] = _dual_live(kappa, g, flat[live], float(bound), corners)
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
@@ -463,8 +460,6 @@ def duality_pairing(kappa: float, f, g, x_bound: float) -> tuple[float, float]:
     mesh splits at 0, where the dual side has a kink, and at the corner
     points of g.
     """
-    fval = f.value if hasattr(f, "value") else f
-    gval = g.value if hasattr(g, "value") else g
     bnd = float(x_bound)
     pts = sorted({-bnd, 0.0, bnd} | {float(c) for c in getattr(g, "corners", ())
                                      if -bnd < float(c) < bnd})
@@ -474,6 +469,6 @@ def duality_pairing(kappa: float, f, g, x_bound: float) -> tuple[float, float]:
         xs, ws = graded_panels(lo, hi, _DUAL_ORDER)
         chis = chi_one_var_numeric(kappa, f, xs)
         duals = dual_chi(kappa, g, xs, support_bound=bnd)
-        lhs += float(np.dot(ws, chis * np.broadcast_to(gval(xs), xs.shape)))
-        rhs += float(np.dot(ws, np.broadcast_to(fval(xs), xs.shape) * duals))
+        lhs += float(np.dot(ws, chis * np.broadcast_to(g(xs), xs.shape)))
+        rhs += float(np.dot(ws, np.broadcast_to(f(xs), xs.shape) * duals))
     return lhs, rhs

@@ -9,7 +9,9 @@ where tau_i is the orthogonal projection onto the wall of alpha_i. Polynomial
 paths are exact over Q: the quotient is |alpha_i|^-2 d_alpha_i f averaged
 along the segment from x to tau_i x, the moment sequence u^j -> 1 / (j + 1)
 on polycore's segment expansion. The numeric path replaces the quotient by
-its analytic limit near a wall.
+its analytic limit near a wall. On the coordinate subsystem sum_j T_j^2 has
+two exact assemblies, from T itself (laplacian_sum_sq) and in closed form
+(laplacian_expanded); the laplacian suite compares them.
 """
 from __future__ import annotations
 
@@ -188,47 +190,39 @@ def one_var_T_squared(kappa: float, f, x: float):
 
 # ---- coordinate Laplacian ----------------------------------------------------
 
-@dataclass(frozen=True)
-class LaplacianSplit:
-    """Both assemblies of sum_j T_j^2 over a coordinate subsystem."""
-
-    sum_sq: MPoly
-    expanded: MPoly
-
-    @property
-    def match(self) -> bool:
-        return self.sum_sq == self.expanded
-
-
-def laplacian_direct(p: MPoly, kappas, expanded_kappas=None) -> LaplacianSplit:
-    """Compare sum_j T_j^2 p with its closed-form expansion.
-
-    The expansion adds, per coordinate j with multiplicity kappa_j,
-
-        (2 kappa_j x_j d_j p - (kappa_j^2 + kappa_j) x_j (d_j p)|_{x_j=0}
-         + (kappa_j^2 - kappa_j)(p - p|_{x_j=0})) / x_j^2
-
-    to the plain Laplacian; the numerator is divisible by x_j^2 identically.
-    expanded_kappas perturbs only the expansion side (testing hook).
-    """
-    n = p.nvars
+def _laplacian_kappas(p: MPoly, kappas) -> list[Fraction]:
     kappas = [_as_fraction(k) for k in kappas]
-    if len(kappas) != n:
+    if len(kappas) != p.nvars:
         raise ValueError("one multiplicity per coordinate required")
-    sub = build_subsystem_coordinate(n, kappas)
+    return kappas
 
-    sum_sq = MPoly.zero(n)
+
+def laplacian_sum_sq(p: MPoly, kappas) -> MPoly:
+    """sum_j T_j^2 p over the coordinate subsystem with multiplicities kappas."""
+    n = p.nvars
+    sub = build_subsystem_coordinate(n, _laplacian_kappas(p, kappas))
+    out = MPoly.zero(n)
     for j in range(n):
         e_j = RationalVector.unit(j, n)
-        sum_sq = sum_sq + apply_T_poly(sub, e_j, apply_T_poly(sub, e_j, p))
+        out = out + apply_T_poly(sub, e_j, apply_T_poly(sub, e_j, p))
+    return out
 
-    ek = kappas if expanded_kappas is None else [_as_fraction(k) for k in expanded_kappas]
-    if len(ek) != n:
-        raise ValueError("one multiplicity per coordinate required")
-    expanded = MPoly.zero(n)
+
+def laplacian_expanded(p: MPoly, kappas) -> MPoly:
+    """sum_j T_j^2 p in closed form: the plain Laplacian plus, per coordinate j
+    with multiplicity kappa_j,
+
+        (2 kappa_j x_j d_j p - (kappa_j^2 + kappa_j) x_j (d_j p)|_{x_j=0}
+         + (kappa_j^2 - kappa_j)(p - p|_{x_j=0})) / x_j^2,
+
+    whose numerator is divisible by x_j^2 identically.
+    """
+    n = p.nvars
+    kappas = _laplacian_kappas(p, kappas)
+    out = MPoly.zero(n)
     for j in range(n):
-        expanded = expanded + partial_derivative(partial_derivative(p, j), j)
-    for j, kap in enumerate(ek):
+        out = out + partial_derivative(partial_derivative(p, j), j)
+    for j, kap in enumerate(kappas):
         if not kap:
             continue
         dj = partial_derivative(p, j)
@@ -236,5 +230,5 @@ def laplacian_direct(p: MPoly, kappas, expanded_kappas=None) -> LaplacianSplit:
         numer = (xj * dj * (2 * kap)
                  - xj * substitute_zero(dj, j) * (kap * kap + kap)
                  + (p - substitute_zero(p, j)) * (kap * kap - kap))
-        expanded = expanded + exact_div_var_power(numer, j, 2)
-    return LaplacianSplit(sum_sq, expanded)
+        out = out + exact_div_var_power(numer, j, 2)
+    return out

@@ -9,9 +9,10 @@ does not hold, a NaN included, and draws no further case. Its witness is
 where() followed by "(observed O, tolerance T)" in %.3e; a raised exception
 fails the check with the exception's type and message.
 
-Fault injection replaces one internal quantity with a deliberately wrong one
-so the suite's sensitivity itself is testable: a healthy suite must go red
-under its designated fault.
+Tolerances and fault injection live here only: the library modules return
+values, and a check compares them. Fault injection replaces one quantity
+with a deliberately wrong one so the suite's sensitivity itself is
+testable: a healthy suite must go red under its designated fault.
 
 Reports are deterministic for a fixed seed: no timestamps, no float formatting
 that depends on platform, fixed suite order.
@@ -57,7 +58,8 @@ from .opengine import (
     apply_T_numeric,
     apply_T_poly,
     commutator_poly,
-    laplacian_direct,
+    laplacian_expanded,
+    laplacian_sum_sq,
     one_var_T,
 )
 from .polycore import MPoly, directional_derivative, partial_derivative
@@ -72,24 +74,7 @@ from .rootgeom import (
     reflect,
     project,
 )
-from .transform import (
-    c0_decay_check,
-    factorization_check,
-    kummer_transform,
-    l1_norm,
-    sup_norm_bound_check,
-)
-
-SUITE_NAMES = (
-    "geometry",
-    "commutativity",
-    "intertwining",
-    "inverse",
-    "kummer",
-    "laplacian",
-    "multivar_eigen",
-    "transform",
-)
+from .transform import kummer_transform, l1_norm, transform_grid, transform_through_dual
 
 
 @dataclass(frozen=True)
@@ -456,24 +441,22 @@ def suite_laplacian(cfg: SuiteConfig) -> list[CheckRecord]:
         for n in (2, 3):
             for _ in range(4):
                 kappas = [rng.choice(pool) for _ in range(n)]
-                expanded_kappas = None
-                if faulted:
-                    expanded_kappas = list(kappas)
-                    expanded_kappas[0] += Fraction(1, 10)
+                # faulted: the expansion sees a shifted first multiplicity
+                shifted = [kappas[0] + Fraction(1, 10), *kappas[1:]] if faulted else kappas
                 p = _random_poly(rng, n, 5, 5)
-                split = laplacian_direct(p, kappas, expanded_kappas)
-                yield (not split.match, 0,
-                       lambda: (f"assemblies differ by "
-                                f"{(split.sum_sq - split.expanded).to_text()[:120]} for "
-                                f"kappas={[str(k) for k in kappas]}, p={p.to_text()[:60]}"))
+                sum_sq = laplacian_sum_sq(p, kappas)
+                expanded = laplacian_expanded(p, shifted)
+                yield (sum_sq != expanded, 0,
+                       lambda: (f"assemblies differ by {(sum_sq - expanded).to_text()[:120]} "
+                                f"for kappas={[str(k) for k in kappas]}, p={p.to_text()[:60]}"))
 
     def classical_limit():
         p = _random_poly(rng, 3, 5, 5)
-        split = laplacian_direct(p, [0, 0, 0])
         lap = MPoly.zero(3)
         for j in range(3):
             lap = lap + partial_derivative(partial_derivative(p, j), j)
-        yield (split.sum_sq != lap or split.expanded != lap, 0,
+        zero = [0, 0, 0]
+        yield (laplacian_sum_sq(p, zero) != lap or laplacian_expanded(p, zero) != lap, 0,
                lambda: "zero-multiplicity case disagrees with the plain Laplacian")
 
     _check(rec, "laplacian", "split-agreement", run())
@@ -571,19 +554,25 @@ def suite_transform(cfg: SuiteConfig) -> list[CheckRecord]:
     def sup_bound():
         lams = [0.5 * k for k in range(11)]
         for kap in (0.5, 1.0):
-            _, observed, allowed = sup_norm_bound_check(bump, kap, lams)
-            yield observed, allowed, lambda: f"sup |F_{kap}(bump)| on lam = 0, 0.5, ..., 5"
+            # ||f||_1 / Gamma(kappa + 1) with a rounding allowance
+            allowed = l1_norm(bump) / gamma_plus_one(kap) + 1e-9
+            yield (float(np.max(np.abs(transform_grid(bump, kap, lams)))), allowed,
+                   lambda: f"sup |F_{kap}(bump)| on lam = 0, 0.5, ..., 5")
 
     def factorization():
-        report = factorization_check(bump, 0.5, [0.5, 2.0],
-                                     dual_kappa=0.55 if faulted else None)
-        yield report.max_diff, 1e-10, lambda: "factorization gap of F_0.5(bump) at lam = 0.5, 2"
+        lams = [0.5, 2.0]
+        # faulted: the dual side sees a shifted multiplicity
+        through = transform_through_dual(bump, 0.55 if faulted else 0.5, lams)
+        # np.max keeps a NaN at any lam, where Python's max keeps its first value
+        yield (float(np.max(np.abs(transform_grid(bump, 0.5, lams) - through))), 1e-10,
+               lambda: "factorization gap of F_0.5(bump) at lam = 0.5, 2")
 
     def decay():
-        report = c0_decay_check(bump, 0.5)
-        # the bound is strict: the largest double below the threshold
-        yield (report.values[-1], math.nextafter(report.threshold, 0.0),
-               lambda: f"|F_0.5(bump)|({report.lams[-1]}) against {report.threshold}")
+        # high-frequency falloff: |F_0.5 f|(1000) strictly below 0.05 ||f||_1,
+        # so the tolerance is the largest double below that threshold
+        threshold = 0.05 * l1_norm(bump)
+        yield (abs(kummer_transform(bump, 0.5, 1000.0)), math.nextafter(threshold, 0.0),
+               lambda: f"|F_0.5(bump)|(1000.0) against {threshold}")
 
     def classical_limit():
         ind = get_function("indicator")
@@ -604,6 +593,7 @@ def suite_transform(cfg: SuiteConfig) -> list[CheckRecord]:
 
 # ---- runner ----------------------------------------------------------------------------------
 
+# the order is the report's and seeds each suite (_rng)
 _SUITES: dict[str, Callable[[SuiteConfig], list[CheckRecord]]] = {
     "geometry": suite_geometry,
     "commutativity": suite_commutativity,
@@ -614,6 +604,9 @@ _SUITES: dict[str, Callable[[SuiteConfig], list[CheckRecord]]] = {
     "multivar_eigen": suite_multivar_eigen,
     "transform": suite_transform,
 }
+
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 @dataclass

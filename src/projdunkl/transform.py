@@ -3,7 +3,9 @@
     F_kappa(f)(lam) = integral f(x) bold M_kappa(i lam x) dx
 
 reduces to the classical transform at kappa = 0 and factorizes through the
-dual intertwining map: F_kappa f = F_0 (dual chi f). Quadrature uses
+dual intertwining map: F_kappa f = F_0 (dual chi f), whose right-hand side
+transform_through_dual computes. Every function here returns values; the
+transform suite holds the tolerances that compare them. Quadrature uses
 oscillation-limited Gauss panels aligned to the support and split at the
 corners of f, so hard-edged functions are integrated exactly panel by panel.
 A panel is at most 4 pi / max(1, |lam|) wide, two periods of e^(i lam x),
@@ -28,12 +30,10 @@ from scipy.special import digamma
 
 from .functions import TestFunction, get_function
 from .intertwine import dual_chi
-from .kummer import bold_M_on_imaginary, gamma_plus_one
+from .kummer import bold_M_on_imaginary
 from .quadrature import _cell_count, _store, get_rule, graded_panels
 
 _PANEL_ORDER = 24
-_SUP_SLACK = 1e-9  # rounding allowance of sup_norm_bound_check
-_DECAY_COEFF = 0.05  # c0_decay_check: |F_kappa f| / ||f||_1 allowed at the last lam
 # meshes by (cuts, order, cells per piece): a mesh depends on lam only through
 # its cell counts, so one 64-point request builds a handful; read-only arrays
 _MESH_CACHE_SIZE = 8
@@ -75,9 +75,8 @@ def kummer_transform(f, kappa: float, lam: float, bound: float | None = None) ->
     if not math.isfinite(lam):
         raise ValueError(f"lam = {lam} is not finite")
     a = _support(f, bound)
-    value = f.value if hasattr(f, "value") else f
     x, w = _panel_nodes(f, a, _panel_width(lam))
-    fx = np.array(np.broadcast_to(value(x), x.shape), dtype=complex)
+    fx = np.array(np.broadcast_to(f(x), x.shape), dtype=complex)
     # nodes where f vanishes add exact zeros, so the kernel skips them; the
     # dot product keeps every node, which keeps its summation order
     live = fx != 0
@@ -92,33 +91,8 @@ def transform_grid(f, kappa: float, lams: Sequence[float],
 
 def l1_norm(f, bound: float | None = None) -> float:
     a = _support(f, bound)
-    value = f.value if hasattr(f, "value") else f
     x, w = _panel_nodes(f, a, a / 4.0, order=64)
-    return float(np.dot(w, np.abs(np.asarray(value(x)))))
-
-
-def sup_norm_bound_check(f, kappa: float, lams: Sequence[float],
-                         bound: float | None = None) -> tuple[bool, float, float]:
-    """Check sup |F_kappa f| <= ||f||_1 / Gamma(kappa + 1) + _SUP_SLACK on the grid.
-
-    Returns (ok, observed sup, allowed bound).
-    """
-    vals = np.abs(transform_grid(f, kappa, lams, bound))
-    allowed = l1_norm(f, bound) / gamma_plus_one(kappa) + _SUP_SLACK
-    return bool(np.all(vals <= allowed)), float(np.max(vals)), allowed
-
-
-@dataclass(frozen=True)
-class FactorizationReport:
-    lams: tuple
-    direct: tuple
-    through_dual: tuple
-
-    @property
-    def max_diff(self) -> float:
-        """The largest |direct - through_dual|, NaN if any of them is NaN
-        (Python's max would keep its first value against a NaN)."""
-        return float(np.max([abs(a - b) for a, b in zip(self.direct, self.through_dual)]))
+    return float(np.dot(w, np.abs(np.asarray(f(x)))))
 
 
 def _dual_core(f, kappa: float, a: float, xmin: float) -> float:
@@ -133,41 +107,37 @@ def _dual_core(f, kappa: float, a: float, xmin: float) -> float:
     integral_(s/a)^1 (1-u)^(kappa-1) / u du, whose constant is DLMF 5.9.16.
     J_+- is integrated on graded panels over [0, a], split at the corners of f.
     """
-    value = f.value if hasattr(f, "value") else f
     corners = [float(c) for c in getattr(f, "corners", ())]
     if 0.0 in corners:
         raise ValueError("f has a corner at 0, where the dual image's core "
                          "has no closed form")
-    f0 = float(value(0.0))
+    f0 = float(f(0.0))
     j = 0.0
     for sgn in (1.0, -1.0):
         cuts = sorted({0.0, a} | {sgn * c for c in corners if 0.0 < sgn * c < a})
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             t, wt = graded_panels(lo, hi, _PANEL_ORDER)
-            j += float(np.dot(wt, (np.asarray(value(sgn * t)) - f0) / t))
+            j += float(np.dot(wt, (np.asarray(f(sgn * t)) - f0) / t))
     side = f0 * (math.log(a / xmin) + 1.0 - float(digamma(kappa)) - np.euler_gamma)
     return xmin * (2.0 * side + j) / math.gamma(kappa)
 
 
-def factorization_check(f, kappa: float, lams: Sequence[float],
-                        bound: float | None = None,
-                        xmin: float = 1e-6,
-                        dual_kappa: float | None = None) -> FactorizationReport:
-    """Compare F_kappa f with the classical transform of the dual map image.
+def transform_through_dual(f, kappa: float, lams: Sequence[float],
+                           bound: float | None = None,
+                           xmin: float = 1e-6) -> np.ndarray:
+    """F_0(dual chi f)(lam) on the grid, the factorized form of F_kappa f.
 
     The dual image is smooth away from 0 but only log-bounded at 0, so its
     Fourier side is integrated on geometrically graded panels down to xmin
     and the core |x| < xmin is added in closed form (_dual_core). What is
     left is O(xmin^2): e^(i lam x) - 1 and the O(s) term of the dual image
     are both O(xmin) on the core. At the default xmin and a support of 1 the
-    mesh has 960 dual points. f must not have a corner at 0. dual_kappa
-    perturbs only the dual side (testing hook).
+    mesh has 960 dual points. f must not have a corner at 0.
     """
     a = _support(f, bound)
     if not 0 < xmin < a:
         raise ValueError("xmin must lie inside the support")
-    dk = kappa if dual_kappa is None else dual_kappa
-    core = _dual_core(f, dk, a, xmin)
+    core = _dual_core(f, kappa, a, xmin)
     # geometric edges xmin = a r^n < ... < a, mirrored to the negative side
     n = max(1, math.ceil(math.log(a / xmin) / math.log(2.0)))
     pos_edges = a * (0.5 ** np.arange(n + 1))
@@ -180,36 +150,8 @@ def factorization_check(f, kappa: float, lams: Sequence[float],
             xs.append(s * (lo + (hi - lo) * nodes))
             ws.append(np.full_like(nodes, (hi - lo)) * weights)
     x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    dual_vals = dual_chi(dk, f, x, support_bound=a)
-
-    direct = []
-    through = []
-    for lam in lams:
-        direct.append(kummer_transform(f, kappa, lam, bound=a))
-        through.append(complex(np.dot(w * dual_vals, np.exp(1j * lam * x))) + core)
-    return FactorizationReport(tuple(lams), tuple(direct), tuple(through))
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    lams: tuple
-    values: tuple
-    l1: float
-    threshold: float
-
-    @property
-    def ok(self) -> bool:
-        return self.values[-1] < self.threshold
-
-
-def c0_decay_check(f, kappa: float, lams: Sequence[float] = (10.0, 100.0, 1000.0),
-                   bound: float | None = None) -> DecayReport:
-    """High-frequency falloff: |F_kappa f| at the largest lam must drop below
-    _DECAY_COEFF * ||f||_1."""
-    vals = tuple(abs(v) for v in transform_grid(f, kappa, lams, bound))
-    l1 = l1_norm(f, bound)
-    return DecayReport(tuple(lams), vals, l1, _DECAY_COEFF * l1)
+    wd = np.concatenate(ws) * dual_chi(kappa, f, x, support_bound=a)
+    return np.array([complex(np.dot(wd, np.exp(1j * lam * x))) + core for lam in lams])
 
 
 def transform_csv(f, kappa: float, lams: Sequence[float],

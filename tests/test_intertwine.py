@@ -29,7 +29,8 @@ from projdunkl import (
     erdelyi_kober_I,
     erdelyi_kober_I_numeric,
     h_map,
-    laplacian_direct,
+    laplacian_expanded,
+    laplacian_sum_sq,
     reflection_difference,
     rho_poly,
 )
@@ -171,8 +172,8 @@ def test_exact_layer_frozen_outputs(layout):
         "divided_difference": rho_poly(p, sub.roots[-1]),
     }
     if layout == "coordinate":
-        lap = laplacian_direct(p, sub.kappas)
-        got["laplacian_sum_sq"], got["laplacian_expanded"] = lap.sum_sq, lap.expanded
+        got["laplacian_sum_sq"] = laplacian_sum_sq(p, sub.kappas)
+        got["laplacian_expanded"] = laplacian_expanded(p, sub.kappas)
     assert got.keys() == want.keys()
     for name, q in got.items():
         text = q.to_text()
@@ -636,7 +637,7 @@ def test_segment_mesh_grades_toward_zero_only(depth, monkeypatch):
 
 
 def test_dual_chi_nodes_on_the_factorization_mesh(monkeypatch):
-    # the 960 dual points of factorization_check on bump took 849,408 nodes
+    # the 960 dual points of transform_through_dual on bump took 849,408 nodes
     # with every segment graded toward both ends at full depth
     from projdunkl import transform
 
@@ -644,7 +645,7 @@ def test_dual_chi_nodes_on_the_factorization_mesh(monkeypatch):
     seen = []
     monkeypatch.setattr(transform, "dual_chi",
                         lambda kappa, f, x, support_bound: seen.append(x) or np.zeros(x.shape))
-    transform.factorization_check(bump, 0.5, [0.5])
+    transform.transform_through_dual(bump, 0.5, [0.5])
     (xs,) = seen
     nodes = []
 

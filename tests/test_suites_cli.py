@@ -113,7 +113,8 @@ _NAN_READERS = {
     "kummer": {"kernel-goldens", "kernel-decay", "zero-kappa-exp", "derivative-crosscheck",
                "eigen-residual", "ode-residual", "kernel-domain"},
     "multivar_eigen": {f"eigen-{label}" for label, _ in suites._eigen_families()},
-    "transform": {"bump-goldens", "zero-frequency", "classical-limit"},
+    "transform": {"bump-goldens", "zero-frequency", "sup-bound", "factorization", "c0-decay",
+                  "classical-limit"},
 }
 
 
@@ -121,7 +122,8 @@ def test_a_nan_fails_every_check_that_reads_it(monkeypatch):
     # every ordered comparison with a NaN is false, so a check that asks
     # "err > tol?" would pass a NaN; the one comparison asks "err <= tol?"
     for name in ("bold_M", "bold_M_derivative", "one_var_T", "generalized_ode_residual",
-                 "kummer_transform", "apply_T_numeric"):
+                 "kummer_transform", "apply_T_numeric", "transform_grid", "l1_norm",
+                 "transform_through_dual"):
         monkeypatch.setattr(suites, name, lambda *args, **kwargs: math.nan)
     report = run_suites(sorted(_NAN_READERS))
     failed = {(r.suite, r.check) for r in report.records if not r.ok}
@@ -130,6 +132,22 @@ def test_a_nan_fails_every_check_that_reads_it(monkeypatch):
     # a failed case, not a raised exception, with the case and its numbers
     for r in report.records:
         assert r.ok or "(observed " in r.witness, r.witness
+
+
+@pytest.mark.parametrize("position", [0, 1])
+def test_factorization_gap_keeps_a_nan_at_any_lam(monkeypatch, position):
+    # Python's max keeps its first value against a NaN, so a NaN at the
+    # second lam would vanish from a gap taken that way
+    through_dual = suites.transform_through_dual
+
+    def nan_at(*args, **kwargs):
+        out = through_dual(*args, **kwargs)
+        out[position] = complex(math.nan, 0.0)
+        return out
+
+    monkeypatch.setattr(suites, "transform_through_dual", nan_at)
+    report = run_suites(["transform"])
+    assert [r.check for r in report.records if not r.ok] == ["factorization"]
 
 
 # ---- CLI ----
