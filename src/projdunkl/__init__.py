@@ -8,34 +8,27 @@ and the deformed Fourier transform, plus seeded verification suites.
 from .rootgeom import (
     OrthogonalSubsystem,
     RationalVector,
-    XiDecomposition,
     build_subsystem_A,
     build_subsystem_B,
     build_subsystem_coordinate,
-    decompose_xi,
     project,
     reflect,
 )
 from .polycore import (
     MPoly,
-    classical_dunkl,
     directional_derivative,
     partial_derivative,
     poly_eval,
-    reflection_difference,
 )
 from .gammaratio import GammaRatio, pochhammer
 from .functions import TestFunction, catalog, get_function
 from .opengine import (
-    ProjectionDunklOperator,
     apply_T_numeric,
     apply_T_poly,
-    apply_T_poly_decomposed,
     commutator_poly,
     laplacian_expanded,
     laplacian_sum_sq,
     one_var_T,
-    one_var_T_poly,
     one_var_T_squared,
     rho_poly,
 )
@@ -45,10 +38,8 @@ from .intertwine import (
     chi_inverse_one_var,
     chi_numeric,
     chi_one_var,
-    chi_one_var_numeric,
     chi_poly_scaled,
     dual_chi,
-    duality_pairing,
     ek_left_inverse_D,
     erdelyi_kober_I,
     erdelyi_kober_I_numeric,
@@ -80,21 +71,17 @@ from .suites import SUITE_NAMES, SuiteConfig, VerificationReport, run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "OrthogonalSubsystem", "RationalVector", "XiDecomposition",
+    "OrthogonalSubsystem", "RationalVector",
     "build_subsystem_A", "build_subsystem_B", "build_subsystem_coordinate",
-    "decompose_xi", "project", "reflect",
-    "MPoly", "classical_dunkl", "directional_derivative",
-    "partial_derivative", "poly_eval", "reflection_difference",
+    "project", "reflect",
+    "MPoly", "directional_derivative", "partial_derivative", "poly_eval",
     "GammaRatio", "pochhammer",
     "TestFunction", "catalog", "get_function",
-    "ProjectionDunklOperator", "apply_T_numeric", "apply_T_poly",
-    "apply_T_poly_decomposed", "commutator_poly", "laplacian_expanded",
-    "laplacian_sum_sq", "one_var_T", "one_var_T_poly", "one_var_T_squared",
-    "rho_poly",
+    "apply_T_numeric", "apply_T_poly", "commutator_poly", "laplacian_expanded",
+    "laplacian_sum_sq", "one_var_T", "one_var_T_squared", "rho_poly",
     "GPoly", "chi_inverse_numeric", "chi_inverse_one_var", "chi_numeric",
-    "chi_one_var", "chi_one_var_numeric", "chi_poly_scaled", "dual_chi",
-    "duality_pairing", "ek_left_inverse_D", "erdelyi_kober_I",
-    "erdelyi_kober_I_numeric", "h_map",
+    "chi_one_var", "chi_poly_scaled", "dual_chi", "ek_left_inverse_D",
+    "erdelyi_kober_I", "erdelyi_kober_I_numeric", "h_map",
     "MultivarEigenfunction", "bold_M", "bold_M_array", "bold_M_derivative",
     "bold_M_jet", "bold_M_on_imaginary", "eigen_multivar", "eigen_rank_one",
     "generalized_ode_residual", "kummer_M",

@@ -6,6 +6,7 @@ A means the function vanishes outside [-A, A] (None for unbounded support).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,6 +38,20 @@ class TestFunction:
         if self.dim != 1:
             raise ValueError("scalar derivative only defined for dim 1")
         return self.gradient(x)
+
+
+def _support_bound(f, bound: float | None) -> float:
+    """The support bound A of f: bound if given, else f.support_bound.
+
+    Integrals over [-A, A] need a positive finite A; anything else raises.
+    """
+    a = bound if bound is not None else getattr(f, "support_bound", None)
+    if a is None:
+        raise ValueError("a finite support bound is required")
+    a = float(a)
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"support bound {a} must be positive and finite")
+    return a
 
 
 # ---- rank-one catalog entries ----------------------------------------------

@@ -401,6 +401,8 @@ class MultivarEigenfunction:
     def _wave_and_args(self, x):
         """exp(i <P lam, x>) and the kernel arguments i c_j <x, alpha_j>."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.subsystem.dim,):
+            raise ValueError(f"point must have shape ({self.subsystem.dim},)")
         wave = cmath.exp(1j * float(self._p_lam @ x))
         return wave, (1j * (self._c * (self._alphas @ x))).tolist()
 
@@ -422,6 +424,8 @@ class MultivarEigenfunction:
     def eigenvalue(self, xi) -> complex:
         """i <lam, xi>, so that T_xi E = eigenvalue(xi) * E."""
         coords = xi.to_floats() if hasattr(xi, "to_floats") else np.asarray(xi, dtype=float)
+        if len(coords) != self.subsystem.dim:
+            raise ValueError(f"direction must have shape ({self.subsystem.dim},)")
         return 1j * sum(float(l) * float(c) for l, c in zip(self.lam, coords))
 
 

@@ -15,7 +15,6 @@ two exact assemblies, from T itself (laplacian_sum_sq) and in closed form
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -23,8 +22,8 @@ import numpy as np
 
 from .polycore import (
     MPoly,
-    _difference_block,
     _map_root_blocks,
+    _segment_average,
     directional_derivative,
     exact_div_var_power,
     partial_derivative,
@@ -33,10 +32,8 @@ from .polycore import (
 from .rootgeom import (
     OrthogonalSubsystem,
     RationalVector,
-    XiDecomposition,
     _as_fraction,
     build_subsystem_coordinate,
-    decompose_xi,
 )
 
 # Relative threshold below which <x, alpha> counts as "on the wall".
@@ -49,8 +46,9 @@ ZERO_TOL = 1e-10
 # (about 200 for degree 12 on A-, B- and coordinate roots).
 @lru_cache(maxsize=1024)
 def _rho_block(alpha_entries: tuple, exps: tuple) -> MPoly:
-    # u^j over [0, 1]
-    return _difference_block(alpha_entries, exps, lambda j: Fraction(1, j + 1))
+    # |alpha|^-2 d_alpha x^exps averaged along the segment: u^j over [0, 1]
+    return (_segment_average(alpha_entries, exps, 1, lambda j: Fraction(1, j + 1))
+            * Fraction(1, sum(a * a for a in alpha_entries)))
 
 
 def rho_poly(p: MPoly, alpha: RationalVector) -> MPoly:
@@ -73,24 +71,6 @@ def apply_T_poly(subsystem: OrthogonalSubsystem, xi: RationalVector, p: MPoly) -
         w = kappa * alpha.dot(xi)
         if w:
             out = out + rho_poly(p, alpha) * w
-    return out
-
-
-def apply_T_poly_decomposed(subsystem: OrthogonalSubsystem, xi: RationalVector, p: MPoly) -> MPoly:
-    """T_xi p assembled from per-root operators plus the orthogonal remainder.
-
-    Splits xi = sum_i xi_i alpha_i + xi_hat and applies
-    sum_i xi_i T_{alpha_i} + d_{xi_hat}. Must agree with apply_T_poly exactly.
-    """
-    dec: XiDecomposition = decompose_xi(subsystem, xi)
-    out = directional_derivative(p, dec.xi_hat)
-    for coeff, alpha, kappa in zip(dec.coefficients, subsystem.roots, subsystem.kappas):
-        if not coeff:
-            continue
-        t_alpha = directional_derivative(p, alpha)
-        if kappa:
-            t_alpha = t_alpha + rho_poly(p, alpha) * (kappa * alpha.norm_sq())
-        out = out + t_alpha * coeff
     return out
 
 
@@ -129,39 +109,14 @@ def apply_T_numeric(subsystem: OrthogonalSubsystem, xi: RationalVector, f, x):
     return out
 
 
-@dataclass(frozen=True)
-class ProjectionDunklOperator:
-    """T_xi bound to one subsystem and one direction."""
-
-    subsystem: OrthogonalSubsystem
-    xi: RationalVector
-
-    def __post_init__(self) -> None:
-        if self.xi.dim != self.subsystem.dim:
-            raise ValueError("direction dimension does not match the subsystem")
-
-    def apply_poly(self, p: MPoly) -> MPoly:
-        return apply_T_poly(self.subsystem, self.xi, p)
-
-
-def commutator_poly(op_a: ProjectionDunklOperator, op_b: ProjectionDunklOperator,
-                    p: MPoly) -> MPoly:
-    """[T_xi, T_eta] p. Both operators must share one subsystem."""
-    if op_a.subsystem != op_b.subsystem:
-        raise ValueError("operators act over different subsystems; "
-                         "the commutator is only defined for a shared root family")
-    return op_a.apply_poly(op_b.apply_poly(p)) - op_b.apply_poly(op_a.apply_poly(p))
+def commutator_poly(subsystem: OrthogonalSubsystem, xi: RationalVector,
+                    eta: RationalVector, p: MPoly) -> MPoly:
+    """[T_xi, T_eta] p over one subsystem."""
+    return (apply_T_poly(subsystem, xi, apply_T_poly(subsystem, eta, p))
+            - apply_T_poly(subsystem, eta, apply_T_poly(subsystem, xi, p)))
 
 
 # ---- one-variable specialization --------------------------------------------
-
-def one_var_T_poly(kappa, p: MPoly) -> MPoly:
-    """Exact one-variable operator: x^n -> (n + kappa) x^(n-1)."""
-    if p.nvars != 1:
-        raise ValueError("univariate polynomial required")
-    kappa = _as_fraction(kappa)
-    return MPoly(1, {(n - 1,): c * (n + kappa) for (n,), c in p.terms.items() if n})
-
 
 def one_var_T(kappa: float, f, x: float):
     """f'(x) + kappa (f(x) - f(0)) / x, with the x=0 limit (1 + kappa) f'(0)."""

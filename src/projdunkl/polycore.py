@@ -24,12 +24,11 @@ exponent tuples, least recently used first out.
 
 The exact root maps move only a root's support coordinates, so each is a map
 of block monomials that _map_root_blocks scatters back. chi's per-root
-factor, the difference term of T and the reflection difference are all
-averages along the segment from tau x to x, tau the projection onto the
-root's wall: each is one sequence of t moments applied to one cached
-expansion along that segment (_segment_expansion, _segment_average), of the
-block monomial for chi and of its derivative along the root for the two
-difference quotients.
+factor and the difference term of T are both averages along the segment
+from tau x to x, tau the projection onto the root's wall: each is one
+sequence of t moments applied to one cached expansion along that segment
+(_segment_expansion, _segment_average), of the block monomial for chi and
+of its derivative along the root for T's difference quotient.
 """
 from __future__ import annotations
 
@@ -410,13 +409,11 @@ def _map_root_blocks(p: MPoly, alpha: RationalVector,
 # ---- averages along the segment from x to the wall -------------------------
 #
 # With w = <x, alpha> / |alpha|^2, the point x - u w alpha runs from x (u = 0)
-# through tau x, the projection onto alpha's wall (u = 1), to s x (u = 2).
-# The exact root maps are averages along it, each its own sequence of u
-# moments: of a block monomial against chi's scaled weight kappa u^(kappa - 1)
-# on [0, 1], and of its derivative d_alpha for a difference quotient, by the
-# fundamental theorem of calculus,
-#     (f(x) - f(tau x)) / <x, alpha> = |alpha|^-2 integral_0^1 d_alpha f(...) du,
-# and the same over [0, 2] for (f(x) - f(s x)) / <x, alpha>.
+# to tau x, the projection onto alpha's wall (u = 1). The exact root maps are
+# averages along it, each its own sequence of u moments: of a block monomial
+# against chi's scaled weight kappa u^(kappa - 1), and of its derivative
+# d_alpha for T's difference quotient, by the fundamental theorem of calculus,
+#     (f(x) - f(tau x)) / <x, alpha> = |alpha|^-2 integral_0^1 d_alpha f(...) du.
 
 # Bounded far above the working set, which has no multiplicity in its key:
 # about 210 entries for degree 12 on A-, B- and coordinate roots, half of
@@ -470,24 +467,6 @@ def _segment_average(alpha_block: tuple, exps: tuple, order: int,
     return MPoly._from_parts(nb, out, expanded.den * common)
 
 
-def _difference_block(alpha_block: tuple, exps: tuple,
-                      moment: Callable[[int], Fraction]) -> MPoly:
-    """|alpha|^-2 d_alpha x^exps, averaged along the segment with moment."""
-    return (_segment_average(alpha_block, exps, 1, moment)
-            * Fraction(1, sum(a * a for a in alpha_block)))
-
-
-@lru_cache(maxsize=1024)
-def _reflection_block(alpha_block: tuple, exps: tuple) -> MPoly:
-    # u^j over [0, 2]
-    return _difference_block(alpha_block, exps, lambda j: Fraction(2 ** (j + 1), j + 1))
-
-
-def reflection_difference(p: MPoly, alpha: RationalVector) -> MPoly:
-    """(p - p o s_alpha) / <x, alpha>, block by block on alpha's support."""
-    return _map_root_blocks(p, alpha, _reflection_block)
-
-
 def substitute_zero(p: MPoly, i: int) -> MPoly:
     """p with x_{i+1} set to 0: drops every term carrying that variable."""
     return MPoly._from_parts(p.nvars, {e: c for e, c in p.num.items() if e[i] == 0}, p.den)
@@ -501,16 +480,3 @@ def exact_div_var_power(p: MPoly, i: int, k: int) -> MPoly:
             raise ValueError(f"x{i + 1}^{k} does not divide term with exponents {e}")
         out[e[:i] + (e[i] - k,) + e[i + 1:]] = c
     return MPoly._from_parts(p.nvars, out, p.den)
-
-
-def classical_dunkl(p: MPoly, roots: Sequence[RationalVector], kappas: Sequence, xi: RationalVector) -> MPoly:
-    """Reflection-based Dunkl derivative over a positive system (no orthogonality needed)."""
-    kappas = [_as_fraction(k) for k in kappas]
-    if len(roots) != len(kappas):
-        raise ValueError("one multiplicity per root required")
-    out = directional_derivative(p, xi)
-    for a, k in zip(roots, kappas):
-        w = k * a.dot(xi)
-        if w:
-            out = out + reflection_difference(p, a) * w
-    return out

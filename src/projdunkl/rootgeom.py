@@ -228,30 +228,3 @@ def build_subsystem_coordinate(dim: int, kappas: Sequence) -> OrthogonalSubsyste
         raise ValueError(f"need {dim} multiplicities, got {len(kappas)}")
     roots = [RationalVector.unit(i, dim) for i in range(dim)]
     return OrthogonalSubsystem(dim, roots, kappas)
-
-
-@dataclass(frozen=True)
-class XiDecomposition:
-    """xi = sum_i coefficients[i] * roots[i] + xi_hat, with xi_hat orthogonal to every root."""
-
-    coefficients: tuple[Fraction, ...]
-    xi_hat: RationalVector
-
-    def reconstruct(self, subsystem: OrthogonalSubsystem) -> RationalVector:
-        v = self.xi_hat
-        for c, a in zip(self.coefficients, subsystem.roots):
-            v = v + a.scale(c)
-        return v
-
-
-def decompose_xi(subsystem: OrthogonalSubsystem, xi: RationalVector) -> XiDecomposition:
-    """Split a direction along the roots: xi_i = <xi, a_i>/|a_i|^2, remainder xi_hat."""
-    if xi.dim != subsystem.dim:
-        raise ValueError(f"xi has dim {xi.dim}, subsystem has dim {subsystem.dim}")
-    coeffs = tuple(xi.dot(a) / a.norm_sq() for a in subsystem.roots)
-    hat = xi
-    for c, a in zip(coeffs, subsystem.roots):
-        hat = hat - a.scale(c)
-    for a in subsystem.roots:
-        assert hat.dot(a) == 0
-    return XiDecomposition(coeffs, hat)

@@ -54,7 +54,6 @@ from .kummer import (
     generalized_ode_residual,
 )
 from .opengine import (
-    ProjectionDunklOperator,
     apply_T_numeric,
     apply_T_poly,
     commutator_poly,
@@ -229,8 +228,7 @@ def suite_commutativity(cfg: SuiteConfig) -> list[CheckRecord]:
                 eta = _random_vector(rng, sub.dim)
                 p = _random_poly(rng, sub.dim, 4, 5)
                 if perturbed is None:
-                    c = commutator_poly(ProjectionDunklOperator(sub, xi),
-                                        ProjectionDunklOperator(sub, eta), p)
+                    c = commutator_poly(sub, xi, eta, p)
                 else:
                     # mixed multiplicities between the two factors
                     c = (apply_T_poly(sub, xi, apply_T_poly(perturbed, eta, p))

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import digamma
 
-from .functions import TestFunction, get_function
+from .functions import TestFunction, _support_bound, get_function
 from .intertwine import dual_chi
 from .kummer import bold_M_on_imaginary
 from .quadrature import _cell_count, _store, get_rule, graded_panels
@@ -38,13 +38,6 @@ _PANEL_ORDER = 24
 # its cell counts, so one 64-point request builds a handful; read-only arrays
 _MESH_CACHE_SIZE = 8
 _meshes: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _support(f, bound: float | None) -> float:
-    a = bound if bound is not None else getattr(f, "support_bound", None)
-    if a is None:
-        raise ValueError("a finite support bound is required for the transform")
-    return float(a)
 
 
 def _panel_nodes(f, a: float, max_width: float, order: int = _PANEL_ORDER):
@@ -74,7 +67,7 @@ def kummer_transform(f, kappa: float, lam: float, bound: float | None = None) ->
     """F_kappa(f)(lam) over the (finite) support of f."""
     if not math.isfinite(lam):
         raise ValueError(f"lam = {lam} is not finite")
-    a = _support(f, bound)
+    a = _support_bound(f, bound)
     x, w = _panel_nodes(f, a, _panel_width(lam))
     fx = np.array(np.broadcast_to(f(x), x.shape), dtype=complex)
     # nodes where f vanishes add exact zeros, so the kernel skips them; the
@@ -90,7 +83,7 @@ def transform_grid(f, kappa: float, lams: Sequence[float],
 
 
 def l1_norm(f, bound: float | None = None) -> float:
-    a = _support(f, bound)
+    a = _support_bound(f, bound)
     x, w = _panel_nodes(f, a, a / 4.0, order=64)
     return float(np.dot(w, np.abs(np.asarray(f(x)))))
 
@@ -134,7 +127,9 @@ def transform_through_dual(f, kappa: float, lams: Sequence[float],
     are both O(xmin) on the core. At the default xmin and a support of 1 the
     mesh has 960 dual points. f must not have a corner at 0.
     """
-    a = _support(f, bound)
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    a = _support_bound(f, bound)
     if not 0 < xmin < a:
         raise ValueError("xmin must lie inside the support")
     core = _dual_core(f, kappa, a, xmin)

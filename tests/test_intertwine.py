@@ -12,7 +12,6 @@ from projdunkl import (
     MPoly,
     RationalVector,
     apply_T_poly,
-    apply_T_poly_decomposed,
     build_subsystem_A,
     build_subsystem_B,
     build_subsystem_coordinate,
@@ -20,18 +19,14 @@ from projdunkl import (
     chi_inverse_one_var,
     chi_numeric,
     chi_one_var,
-    chi_one_var_numeric,
     chi_poly_scaled,
-    classical_dunkl,
     dual_chi,
-    duality_pairing,
     ek_left_inverse_D,
     erdelyi_kober_I,
     erdelyi_kober_I_numeric,
     h_map,
     laplacian_expanded,
     laplacian_sum_sq,
-    reflection_difference,
     rho_poly,
 )
 from projdunkl import intertwine, quadrature
@@ -72,6 +67,13 @@ def test_h_map_wrong_t_length():
     sub = build_subsystem_A(2, [F(1, 2)])
     with pytest.raises(ValueError):
         h_map(sub, [F(1, 2), F(1, 2)], rv(1, 0))
+
+
+def test_h_map_rejects_point_of_wrong_length():
+    sub = build_subsystem_A(2, [F(1, 2)])
+    for x in ([1.0], [1.0, 0.5, 2.0]):
+        with pytest.raises(ValueError, match=r"point must have shape \(2,\)"):
+            h_map(sub, [0.5], x)
 
 
 # ---- exact polynomial forward map ----
@@ -121,8 +123,7 @@ def test_chi_poly_scaled_matches_tensor_quadrature():
 
 
 # Frozen exact outputs: (term count, sha256 of to_text()) of chi_poly_scaled
-# and of T_xi applied to that image, and on the input itself of the
-# decomposed T_xi, the classical Dunkl operator over the same roots, the
+# and of T_xi applied to that image, and on the input itself of T_xi, the
 # divided difference along the last root and, for the coordinate layout, both
 # Laplacian assemblies. Non-dyadic multiplicities; the input has terms off
 # every root's support, a constant among them.
@@ -133,24 +134,21 @@ FROZEN = {
     "A": (build_subsystem_A(6, [F(3, 7), F(5, 4), F(2, 9)]), {
         "chi": (57, "3ac65a280de8b174b56a23b6975187d1272fbde3c2727f78cda5f99b7dd8580b"),
         "T_of_chi": (67, "1f29be03ac92dbb4a9daef9d281715b2f28dccba4239d816b5ca819441f72f59"),
-        "T_decomposed": (25, "9faf29f9e6a786cb7946214bd742995a5faf1ec4e2becd2ab3f9b4c6d0b63864"),
-        "classical_dunkl": (20, "8c92b4b120f79ce6e6bc58c335450c339f046eae8ecfdf932edb9ab4fdae1c2e"),
+        "T": (25, "9faf29f9e6a786cb7946214bd742995a5faf1ec4e2becd2ab3f9b4c6d0b63864"),
         "divided_difference": (10, "b46ea98adb5baf2d4b17b557267bdf3a86410d35a52d02b73cc21b1dd5443839"),
     }),
     "B": (build_subsystem_B(6, [F(3, 7), F(5, 4), F(1, 3)],
                             [F(2, 5), F(7, 3), F(5, 6)]), {
         "chi": (57, "ee32bca738a7a175ff6a5313f4e006bcff8d353e834ee7c2d9039acef6d6e743"),
         "T_of_chi": (67, "ab8ea703375c014dc5d13c3a75c7ff79f2711f95d52dbee785539b129d176549"),
-        "T_decomposed": (25, "d2fd142eabec5ef88026faa70a73afe8a2df2472d7fc74c6c5fd81c1bdaf9638"),
-        "classical_dunkl": (20, "905c10b417b32895d5306387747e582ce23ebca1b907ffc1b9014f34f34d49eb"),
+        "T": (25, "d2fd142eabec5ef88026faa70a73afe8a2df2472d7fc74c6c5fd81c1bdaf9638"),
         "divided_difference": (10, "44fa042348335c66de853dd0986ded616e0b8fee4a51c5fbc8347d4959be5e80"),
     }),
     "coordinate": (build_subsystem_coordinate(
                        6, [F(3, 7), F(5, 4), F(2, 9), F(1, 3), F(7, 3), F(5, 6)]), {
         "chi": (7, "a143a9395eb381c6dddb239da79a15f36514f35b6c93c1beef250001ac2cad9d"),
         "T_of_chi": (11, "1008bd01c952212b3cc5bf953b2d6886c89c5c808427e852c24debaadea72262"),
-        "T_decomposed": (11, "a149f02565046b2f9f6b8a5e7dc3a9dc64ccefc7f512e55b525c2d40e16f6e33"),
-        "classical_dunkl": (11, "2df60fd55b8231e0db09eae1b373b540b7861f5103efef69aedbfe7009539165"),
+        "T": (11, "a149f02565046b2f9f6b8a5e7dc3a9dc64ccefc7f512e55b525c2d40e16f6e33"),
         "divided_difference": (2, "5464df3a8f4ee2033d59200b5310e8c4fa68cf05e6b433161eddd69565f28048"),
         "laplacian_sum_sq": (7, "27f00a6cea53408b1a5aaf09a516070ef50ea5cfd914750750429afca509e862"),
         "laplacian_expanded": (7, "27f00a6cea53408b1a5aaf09a516070ef50ea5cfd914750750429afca509e862"),
@@ -167,8 +165,7 @@ def test_exact_layer_frozen_outputs(layout):
     got = {
         "chi": img,
         "T_of_chi": apply_T_poly(sub, xi, img),
-        "T_decomposed": apply_T_poly_decomposed(sub, xi, p),
-        "classical_dunkl": classical_dunkl(p, sub.roots, sub.kappas, xi),
+        "T": apply_T_poly(sub, xi, p),
         "divided_difference": rho_poly(p, sub.roots[-1]),
     }
     if layout == "coordinate":
@@ -185,12 +182,10 @@ def test_block_caches_stay_bounded():
     # growing without limit
     from projdunkl.intertwine import _chi_block
     from projdunkl.opengine import _rho_block
-    from projdunkl.polycore import _reflection_block, _segment_expansion
+    from projdunkl.polycore import _segment_expansion
     for cache, fill in ((_chi_block, lambda j: chi_poly_scaled(
                              build_subsystem_coordinate(1, [F(j, 7919)]), P("x1^2", 1))),
                         (_rho_block, lambda j: rho_poly(P("x1^2", 1), rv(F(j, 7919)))),
-                        (_reflection_block,
-                         lambda j: reflection_difference(P("x1^2", 1), rv(F(j, 7919)))),
                         (_segment_expansion,
                          lambda j: _segment_expansion((F(j, 7919),), (2,), 0))):
         maxsize = cache.cache_info().maxsize
@@ -380,7 +375,7 @@ def test_numeric_maps_reject_non_finite_input():
         with pytest.raises(ValueError, match=f"= {bad}"):
             erdelyi_kober_I_numeric(bad, 0.5, np.exp, 0.3)
         with pytest.raises(ValueError, match=f"= {bad}"):
-            chi_one_var_numeric(bad, np.exp, 0.3)
+            erdelyi_kober_I_numeric(0, bad, np.exp, 0.3)
         with pytest.raises(ValueError, match=f"kappa = {bad}"):
             dual_chi(bad, g, 0.5)
         with pytest.raises(ValueError, match=f"kappa = {bad}"):
@@ -395,12 +390,12 @@ def test_chi_one_var_numeric_matches_exact():
     kappa = 0.75
     for m in (0, 1, 2, 5):
         for x in (0.3, -1.2):
-            got = chi_one_var_numeric(kappa, lambda t, m=m: t ** m, x)
+            got = erdelyi_kober_I_numeric(0, kappa, lambda t, m=m: t ** m, x)
             want = math.factorial(m) / math.gamma(kappa + m + 1) * x ** m
             assert got == pytest.approx(want, rel=1e-13)
             assert isinstance(got, float)
     # kappa = 0 is the identity
-    assert chi_one_var_numeric(0, np.exp, 0.7) == np.exp(0.7)
+    assert erdelyi_kober_I_numeric(0, 0, np.exp, 0.7) == np.exp(0.7)
 
 
 # bound on the relative error of chi(e^t) and chi(e^(i t)) against the
@@ -414,9 +409,9 @@ def test_chi_one_var_numeric_of_exp_is_the_kernel(kappa):
     for x in np.linspace(-2.5, 2.5, 51):
         x = float(x)
         want = _bold_M_reference(kappa, x)
-        assert chi_one_var_numeric(kappa, np.exp, x) == pytest.approx(want, rel=bound)
+        assert erdelyi_kober_I_numeric(0, kappa, np.exp, x) == pytest.approx(want, rel=bound)
         want = _bold_M_reference(kappa, 1j * x)
-        got = chi_one_var_numeric(kappa, lambda t: np.exp(1j * t), x)
+        got = erdelyi_kober_I_numeric(0, kappa, lambda t: np.exp(1j * t), x)
         assert abs(got - want) <= bound * abs(want)
 
 
@@ -690,6 +685,27 @@ def test_dual_chi_leading_term_at_zero(kappa):
     # the remainder is O(s): ten times smaller per decade
     for big, small in zip(residuals, residuals[1:]):
         assert 5.0 < big / small < 20.0
+
+
+def duality_pairing(kappa, f, g, x_bound):
+    """Both sides of integral (chi f) g dx = integral f (dual chi g) dx on [-B, B].
+
+    g must vanish outside [-B, B]; f only needs values on [-B, B]. The outer
+    mesh splits at 0, where the dual side has a kink, and at the corner
+    points of g.
+    """
+    bnd = float(x_bound)
+    pts = sorted({-bnd, 0.0, bnd} | {float(c) for c in getattr(g, "corners", ())
+                                     if -bnd < float(c) < bnd})
+    lhs = 0.0
+    rhs = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        xs, ws = quadrature.graded_panels(lo, hi, 32)
+        chis = erdelyi_kober_I_numeric(0, kappa, f, xs)
+        duals = dual_chi(kappa, g, xs, support_bound=bnd)
+        lhs += float(np.dot(ws, chis * np.broadcast_to(g(xs), xs.shape)))
+        rhs += float(np.dot(ws, np.broadcast_to(f(xs), xs.shape) * duals))
+    return lhs, rhs
 
 
 def test_duality_pairing_frozen_value():

@@ -460,6 +460,13 @@ def test_eigen_multivar_input_checks():
     for lam, bad in (([math.nan, 1.0], 0), ([1.0, math.inf], 1)):
         with pytest.raises(ValueError, match=rf"lam\[{bad}\]"):
             eigen_multivar(sub, lam)
+    e = eigen_multivar(sub, [1.0, 0.5])
+    for x in ([0.3], [0.3, 0.1, 0.2]):
+        for evaluate in (e.value, e.gradient):
+            with pytest.raises(ValueError, match=r"point must have shape \(2,\)"):
+                evaluate(x)
+        with pytest.raises(ValueError, match=r"direction must have shape \(2,\)"):
+            e.eigenvalue(x)
 
 
 SKEW_3 = OrthogonalSubsystem(3, [RationalVector((1, 2, 2)), RationalVector((2, 1, -2))],

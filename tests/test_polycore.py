@@ -1,11 +1,10 @@
-"""Sparse exact polynomials and the difference quotients along a root.
+"""Sparse exact polynomials and the difference quotient along a root.
 
-The difference term of T and the reflection difference are moment sequences
-on one segment expansion (as is chi's per-root factor); they are checked here
-against their definitions at rational points, p(x) - p(tau x) and
-p(x) - p(s x) over <x, alpha>. The text form is held to frozen tables of
-accepted and rejected inputs, recorded before its parser and printer were
-last rewritten.
+The difference term of T is a moment sequence on a segment expansion (as is
+chi's per-root factor); it is checked here against its definition at
+rational points, p(x) - p(tau x) over <x, alpha>. The text form is held to
+frozen tables of accepted and rejected inputs, recorded before its parser
+and printer were last rewritten.
 """
 import math
 import re
@@ -17,18 +16,14 @@ from hypothesis import given, settings, strategies as st
 from projdunkl import (
     MPoly,
     RationalVector,
-    classical_dunkl,
     directional_derivative,
     partial_derivative,
     poly_eval,
     project,
-    reflect,
-    reflection_difference,
     rho_poly,
 )
 from projdunkl.polycore import (
     _monomial_text,
-    _reflection_block,
     _segment_expansion,
     exact_div_var_power,
     substitute_zero,
@@ -184,13 +179,6 @@ def test_divided_difference_example():
     assert rho_poly(P("7", 2), alpha).is_zero()
 
 
-def test_reflection_difference_example():
-    # alpha = e1 - e2 swaps coordinates; (x1^3 - x2^3)/(x1 - x2)
-    alpha = rv(1, -1)
-    p = P("x1^3", 2)
-    assert reflection_difference(p, alpha) == P("x1^2 + x1*x2 + x2^2", 2)
-
-
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
@@ -225,13 +213,6 @@ def test_divided_difference_multiplies_back(p, alpha, x):
     assert poly_eval(rho_poly(p, alpha), x.coords) * x.dot(alpha) == want
 
 
-@given(polys(), roots, points)
-@settings(max_examples=60)
-def test_reflection_difference_multiplies_back(p, alpha, x):
-    want = poly_eval(p, x.coords) - poly_eval(p, reflect(x, alpha).coords)
-    assert poly_eval(reflection_difference(p, alpha), x.coords) * x.dot(alpha) == want
-
-
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=2), roots, points,
        st.fractions(min_value=-2, max_value=3, max_denominator=5), st.integers(0, 1))
 @settings(max_examples=60)
@@ -251,32 +232,15 @@ def test_segment_expansion_is_the_monomial_on_the_segment(exps, alpha, x, u, ord
 
 
 def test_difference_block_miss_builds_one_expansion():
-    # a cold rho or reflection block is one expansion, of d_alpha x^e, which
-    # the other of the two then reuses
+    # a cold rho block is one expansion, of d_alpha x^e
     from projdunkl.opengine import _rho_block
     alpha = (1, F(2, 7901), -3)  # a root no other test uses
-    for exps, first, second in (((3, 2, 1), _rho_block, _reflection_block),
-                                ((1, 2, 4), _reflection_block, _rho_block)):
+    for exps in ((3, 2, 1), (1, 2, 4)):
         misses = _segment_expansion.cache_info().misses
-        for block in (first, second):
-            block_misses = block.cache_info().misses
-            block(alpha, exps)
-            assert block.cache_info().misses == block_misses + 1
-            assert _segment_expansion.cache_info().misses == misses + 1
-
-
-def test_classical_dunkl_rank_one():
-    # full A1 operator on x^2 in 1 variable: d/dx + kappa (f - f(-x))/x
-    p = P("x1^2", 1)
-    out = classical_dunkl(p, [rv(2)], [F(1, 2)], rv(1))
-    assert out == P("2*x1", 1)  # even part drops out of the difference term
-
-
-def test_classical_dunkl_known_value():
-    # odd monomial picks up the multiplicity: T x^3 = 3 x^2 + kappa * 2 x^2
-    p = P("x1^3", 1)
-    out = classical_dunkl(p, [rv(1)], [F(3, 2)], rv(1))
-    assert out == P("6*x1^2", 1)
+        block_misses = _rho_block.cache_info().misses
+        _rho_block(alpha, exps)
+        assert _rho_block.cache_info().misses == block_misses + 1
+        assert _segment_expansion.cache_info().misses == misses + 1
 
 
 # ---- integer numerators over one denominator, against plain Fraction dicts ----

@@ -10,7 +10,6 @@ from projdunkl import (
     build_subsystem_A,
     build_subsystem_B,
     build_subsystem_coordinate,
-    decompose_xi,
     project,
     reflect,
 )
@@ -152,22 +151,3 @@ def test_builder_B_layout():
 def test_builder_coordinate_layout():
     sub = build_subsystem_coordinate(3, [F(1, 2), F(1), F(2)])
     assert sub.roots == (rv(1, 0, 0), rv(0, 1, 0), rv(0, 0, 1))
-
-
-def test_decomposition_reconstructs():
-    sub = build_subsystem_B(2, [F(1, 2)], [F(1)])
-    xi = rv("2/3", -5)
-    dec = decompose_xi(sub, xi)
-    # xi_i = <xi, alpha_i> / |alpha_i|^2 and the residual is wall-parallel
-    assert dec.coefficients == (xi.dot(sub.roots[0]) / 2, xi.dot(sub.roots[1]) / 2)
-    for alpha in sub.roots:
-        assert dec.xi_hat.dot(alpha) == 0
-    assert dec.reconstruct(sub) == xi
-
-
-@given(st.lists(fractions, min_size=2, max_size=2))
-def test_decomposition_exact_in_B2(coords):
-    xi = RationalVector(coords)
-    sub = build_subsystem_B(2, [F(1, 2)], [F(3, 2)])
-    dec = decompose_xi(sub, xi)
-    assert dec.reconstruct(sub) == xi

@@ -1,5 +1,6 @@
 """Deformed Fourier transform: frozen values, norm bounds, factorization."""
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from projdunkl import (
     TransformRequest,
+    dual_chi,
     kummer_transform,
     l1_norm,
     transform_csv,
@@ -283,6 +285,18 @@ def test_l1_norm_requires_support():
     assert v == pytest.approx(4.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("call", [
+    lambda f, a: dual_chi(0.5, f, 0.5, support_bound=a),
+    lambda f, a: kummer_transform(f, 0.5, 1.0, bound=a),
+    lambda f, a: l1_norm(f, bound=a),
+    lambda f, a: transform_through_dual(f, 0.5, [1.0], bound=a),
+], ids=["dual_chi", "kummer_transform", "l1_norm", "transform_through_dual"])
+def test_support_bound_must_be_positive_and_finite(call, bad):
+    with pytest.raises(ValueError, match=re.escape(f"support bound {bad} ")):
+        call(get_function("bump"), bad)
+
+
 def test_transform_grid_and_csv_format():
     bump = get_function("bump")
     lams = [0.0, 1.0, 2.0]
@@ -350,6 +364,14 @@ def test_factorization_rejects_corner_at_zero():
                                   lambda x: -np.sign(x), 1.0, corners=(-1.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="corner at 0"):
         transform_through_dual(tent, 0.5, [1.0])
+
+
+def test_factorization_rejects_non_positive_kappa():
+    # checked before the closed-form core, whose Gamma(kappa) would fail first
+    bump = get_function("bump")
+    for kappa in (0.0, -0.5):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            transform_through_dual(bump, kappa, [1.0])
 
 
 def test_factorization_xmin_validation():
