@@ -4,12 +4,21 @@ get_rule(n, depth, power) is the package's one rule builder. Its nodes and
 weights integrate s^power g(s) over [0, 1] for g smooth on [0, 1]: an n-node
 Gauss-Jacobi cell on [0, 2^-depth] takes the weight s^power exactly, and n-node
 Gauss-Legendre slivers [2^-(k+1), 2^-k], k < depth, carry it in their
-weights. The Jacobi nodes come from scipy's Golub-Welsch eigenproblem, whose
-nodes next to a singular end lose digits, the more the higher the order: at
-power -0.95 the moments past the zeroth are off by 1.5e-13 at 12 nodes and
-by 2.7e-12 at 80. Grading keeps the order low and confines that cell to
-[0, 2^-depth], where it carries little of any moment but the zeroth.
-get_rule(n) is the plain n-node Gauss-Legendre rule.
+weights. get_rule(n) is the plain n-node Gauss-Legendre rule, the power-0
+cell.
+
+The depth-0 cell is built in s itself, never mapped from [-1, 1]: the
+Golub-Welsch eigenvalues (Math. Comp. 23, 1969) of the Jacobi matrix of
+s^power on [0, 1], two Newton steps on its orthonormal three-term recurrence
+(as Hale and Townsend, SIAM J. Sci. Comput. 35, 2013, refine theirs) and
+Christoffel weights 1 / sum_k p_k(s_i)^2. Against a 40-digit rule, for 12 to
+64 nodes and power -0.95 to 2, every node is within 2^-53 and every weight
+within n^2 1e-16 relative, and the moments of degree below 2n are within
+2e-14. A node next to s = 0 is as accurate in absolute terms only: at power
+-0.95, 1.1e-13 relative at 24 nodes. A rule built in x and mapped by
+(1 + x) / 2 loses more there, and its moments with it (1.5e-13 at 12 nodes,
+2e-10 at 64). A cell at depth > 0 is the depth-0 cell of its power scaled
+onto [0, 2^-depth].
 
 Every fractional integral of the package is a sum of such rules: the
 one-variable maps split [0, 1] at 1/2 and grade each half toward its own
@@ -33,7 +42,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 # The package uses a few dozen rules: one per order and per exponent of the
 # numeric maps, and dual_chi's one per depth. The bound only matters to
@@ -79,23 +87,60 @@ def _build_rule(n: int, depth: int, power: float) -> tuple[np.ndarray, np.ndarra
     if not -1.0 < power < math.inf:
         raise ValueError(f"weight exponent power = {power} is not finite and above -1")
     power = float(power)
-    # scipy's weight on [-1, 1] is (1 + x)^power; s = cell (1 + x) / 2 gives
-    # s^power up to (cell / 2)^(power + 1)
-    cell = 2.0 ** -depth
-    x, w = roots_jacobi(n, 0.0, power)
-    nodes = [cell * (x + 1.0) / 2.0]
-    weights = [w * (cell / 2.0) ** (power + 1.0)]
     if depth:
+        # s^power on [0, cell] is cell^(power + 1) times the depth-0 cell
+        cell = 2.0 ** -depth
+        s, w = get_rule(n, 0, power)
         lx, lw = get_rule(n)
         edges = 2.0 ** -np.arange(depth, -1, -1)
         widths = np.diff(edges)
-        s = (edges[:-1, None] + widths[:, None] * lx).ravel()
-        nodes.append(s)
-        weights.append((widths[:, None] * lw).ravel() * s ** power)
-    rule = (np.concatenate(nodes), np.concatenate(weights))
+        x = (edges[:-1, None] + widths[:, None] * lx).ravel()
+        rule = (np.concatenate([cell * s, x]),
+                np.concatenate([w * cell ** (power + 1.0),
+                                (widths[:, None] * lw).ravel() * x ** power]))
+    else:
+        rule = _jacobi_cell(n, power)
     for part in rule:
         part.flags.writeable = False
     return rule
+
+
+def _jacobi_cell(n: int, power: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss rule of s^power on [0, 1], ascending.
+
+    The Jacobi(0, power) recurrence in x = 2s - 1 gives the Jacobi matrix in
+    s: (1 + a_k) / 2 on the diagonal and b_k / 2 beside it. Its row 0 is
+    written as the mean (power + 1) / (power + 2) of s, which a_0 reaches as
+    0/0 at power 0.
+    """
+    k = np.arange(1.0, n)
+    m = 2.0 * k + power
+    diag = np.concatenate([[(power + 1.0) / (power + 2.0)],
+                           0.5 + 0.5 * power * power / (m * (m + 2.0))])
+    off = k * (k + power) / (m * np.sqrt((m - 1.0) * (m + 1.0)))
+    s = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    for _ in range(2):
+        p, dp, _ = _recurrence(s, diag, off)
+        s = s - p / dp
+    total = _recurrence(s, diag, off)[2]
+    return s, 1.0 / ((power + 1.0) * total)
+
+
+def _recurrence(s: np.ndarray, diag: np.ndarray, off: np.ndarray):
+    """At the points s: a multiple of the degree-n orthonormal polynomial, its
+    derivative, and sum_(k < n) (p_k / p_0)^2, from the three-term recurrence
+    b_(k+1) p_(k+1) = (s - diag_k) p_k - b_k p_(k-1), b_n taken as 1."""
+    p_prev, p = np.zeros_like(s), np.ones_like(s)
+    d_prev, d = np.zeros_like(s), np.zeros_like(s)
+    total = np.zeros_like(s)
+    b_prev = 0.0
+    for a, b in zip(diag.tolist(), off.tolist() + [1.0]):
+        total += p * p
+        u = s - a
+        p_prev, p, d_prev, d = (p, (u * p - b_prev * p_prev) / b,
+                                d, (u * d + p - b_prev * d_prev) / b)
+        b_prev = b
+    return p, d, total
 
 
 def _cell_count(length: float, max_width: float | None) -> int:

@@ -1,28 +1,58 @@
 """The graded rule builder and the graded composite mesh."""
 import math
+import os
+import subprocess
 import sys
 import threading
 from fractions import Fraction as F
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from projdunkl import quadrature
 from projdunkl.quadrature import get_rule, graded_panels
+from projdunkl.transform import _digamma
 
 
 @pytest.mark.parametrize("power", [-0.95, -0.5, 0.0, 0.5, 2.0])
 def test_rule_moments(power):
-    # integral_0^1 s^(power + k) ds = 1 / (power + k + 1). At power -0.95
-    # scipy's 12-node Jacobi cell is off by 1.5e-13 on every moment above the
-    # zeroth; on [0, 2^-depth] that error is scaled down by 2^-(depth k)
-    for depth, rel in ((0, 5e-13), (4, 2e-14), (24, 2e-14)):
+    # integral_0^1 s^(power + k) ds = 1 / (power + k + 1); the 12-node rule
+    # is within 2e-15 on every moment at every depth
+    for depth in (0, 4, 24):
         s, w = get_rule(12, depth, power)
         assert s.size == 12 * (depth + 1) and np.all(np.diff(s) > 0)
         assert 0.0 < s[0] and s[-1] < 1.0
         for k in range(24):
             got = float(np.dot(w, s ** k))
-            assert got == pytest.approx(1.0 / (power + k + 1), rel=rel), (depth, k)
+            assert got == pytest.approx(1.0 / (power + k + 1), rel=1e-14), (depth, k)
+
+
+@pytest.mark.parametrize("power", [-0.95, -0.5, 0.0, 0.63, 2.0])
+@pytest.mark.parametrize("n", [12, 16, 24, 32, 64])
+def test_jacobi_cell_matches_40_digit_rule(n, power):
+    # mpmath's weight on [-1, 1] is (1 + x)^power; s = (1 + x) / 2 maps it
+    # to 2^(power + 1) s^power. Measured: every node within 2^-53 (the bound
+    # is one ulp of 1), every weight within 0.53 n^2 1e-16 relative; next to
+    # s = 0 a node is accurate in absolute terms, not relative ones
+    with mp.workdps(40):
+        x, wx = mp.gauss_quadrature(n, "jacobi", 0, power)
+        scale = mp.mpf(2) ** -(mp.mpf(power) + 1)
+        want_s = np.array([float((1 + v) / 2) for v in x])
+        want_w = np.array([float(v * scale) for v in wx])
+    s, w = get_rule(n, 0, power)
+    assert np.max(np.abs(s - want_s)) <= 2.0 ** -52
+    assert np.max(np.abs(w - want_w) / want_w) <= n * n * 1e-16
+
+
+def test_digamma_matches_mpmath():
+    # absolute next to the root 1.4616 of psi, relative away from it
+    kappas = np.concatenate([np.geomspace(1e-3, 170.0, 300), np.linspace(1.3, 1.6, 61)])
+    for kappa in kappas.tolist():
+        with mp.workdps(40):
+            want = float(mp.digamma(kappa))
+        assert abs(_digamma(kappa) - want) <= 8e-16 * max(1.0, abs(want)), kappa
 
 
 def beta_moment(kappa, beta, k):
@@ -51,16 +81,16 @@ def test_rule_is_exact_on_polynomials():
     # n nodes integrate s^power times degree 2n - 1 exactly
     s, w = get_rule(6, 0, -0.5)
     got = float(np.dot(w, s ** 11))
-    assert got == pytest.approx(1.0 / 11.5, rel=1e-14)
+    assert got == pytest.approx(1.0 / 11.5, rel=2e-15)
 
 
 def test_legendre_rule_unit_interval():
     # get_rule(n) is the n-node Gauss-Legendre rule on [0, 1]; at n = 16
-    # scipy's weights are up to 1.2e-15 off a 40-digit rule, numpy's 2e-16
+    # numpy's weights are 2e-16 off a 40-digit rule, and ours 2.3e-16 off numpy's
     nodes, weights = get_rule(16)
     x, w = np.polynomial.legendre.leggauss(16)
     assert np.allclose(nodes, (x + 1.0) / 2.0, rtol=0, atol=2e-16)
-    assert np.allclose(weights, w / 2.0, rtol=0, atol=2e-15)
+    assert np.allclose(weights, w / 2.0, rtol=0, atol=5e-16)
     assert float(np.sum(weights)) == pytest.approx(1.0, rel=1e-15)
     # odd moment about the midpoint vanishes by symmetry
     assert float(np.dot(weights, (nodes - 0.5) ** 3)) == pytest.approx(0.0, abs=1e-17)
@@ -81,6 +111,28 @@ def test_power_zero_rule_is_the_end_cell_of_graded_panels(n):
         # graded_panels at order 2n on [0, 4] has the end cell [0, 1]
         x, xw = graded_panels(0.0, 4.0, 2 * n, depth=depth)
         assert np.array_equal(x[:s.size], s) and np.array_equal(xw[:s.size], w)
+
+
+def test_package_runs_without_scipy():
+    # the rule builder and the dual core need numpy and math only; a fresh
+    # interpreter that imports the package, builds a rule and runs a
+    # transform must not have loaded scipy on the way
+    code = (
+        "import sys\n"
+        "import projdunkl\n"
+        "from projdunkl.functions import get_function\n"
+        "from projdunkl.quadrature import get_rule\n"
+        "from projdunkl.transform import transform_grid\n"
+        "get_rule(7, 3, -0.3)\n"
+        "transform_grid(get_function('gaussian'), 0.37, [0.0, 7.5])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_validation():
@@ -162,11 +214,10 @@ def test_graded_panels_resolve_endpoint_flatness():
     # exp(-1/u) is C-infinity but flat at 0; uniform panels stall on it
     x, w = graded_panels(0.0, 1.0, 24)
     got = float(np.dot(w, np.exp(-1.0 / x)))
-    # reference: substitution-free adaptive value
-    import scipy.integrate as si
-    want, _ = si.quad(lambda u: math.exp(-1.0 / u) if u > 0 else 0.0, 0, 1,
-                      epsabs=1e-14, epsrel=1e-14)
-    assert got == pytest.approx(want, abs=1e-13)
+    # reference: tanh-sinh at 30 digits, which never evaluates the end 0
+    with mp.workdps(30):
+        want = float(mp.quad(lambda u: mp.exp(-1 / u), [0, 1]))
+    assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_graded_panels_rejects_empty_range():
