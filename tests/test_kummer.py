@@ -114,7 +114,7 @@ def test_vectorized_kernel_matches_scalar_across_regimes():
     assert bold_M_on_imaginary(0.0, np.array([2.0]))[0] == pytest.approx(
         np.exp(2j), rel=1e-15)
     # the array path runs each point of the fraction at its own depth, in one
-    # sweep sorted by |z|: shuffled, |z| from the regime switch out to 1000
+    # sweep sorted by depth: shuffled, |z| from the regime switch out to 1000
     # interleave, and each point still matches its own scalar call
     rng = np.random.default_rng(7)
     for kappa in (0.013, 0.37, 2.7, 80.5):
@@ -128,12 +128,12 @@ def test_vectorized_kernel_matches_scalar_across_regimes():
 
 def test_fraction_sweep_keeps_the_bits_of_one_depth_per_array():
     # each far point runs the fraction from its own depth; the values are
-    # those of the whole array started at the depth of its smallest |z|, and
-    # of the point called alone
+    # those of the whole array started at the depth of its deepest point (on
+    # the axis, that of its smallest |y|), and of the point called alone
     def one_depth(kappa, y):
         z = 1j * y
         r = np.abs(z)
-        g = _cf_g(kappa, z, _cf_depth(kappa, r.min()))
+        g = _cf_g(kappa, z, int(_cf_depth(kappa, z).max()))
         half = np.exp(z / 2) * (r ** (-kappa / 2) * np.exp(-0.5j * kappa * np.angle(z)))
         return half * half - g / math.gamma(kappa)
 
@@ -159,6 +159,34 @@ def test_fraction_sweep_runs_each_point_from_its_own_depth():
         depth = np.sort(rng.integers(1, 30, z.size))[::-1]
         want = np.array([_cf_g(kappa, z[i:i + 1], int(d))[0] for i, d in enumerate(depth)])
         assert np.array_equal(_cf_g_sorted(kappa, z, depth), want), kappa
+
+
+def test_kernel_on_the_axis_is_conjugate_symmetric_bit_for_bit():
+    # bold M_kappa(-i y) = conj bold M_kappa(i y) for real kappa, and the
+    # evaluator keeps it to the last bit: the series, the fraction and the
+    # prefactor all round symmetrically in the sign of y
+    rng = np.random.default_rng(31)
+    for kappa in (0.0, 0.001, 0.013, 0.37, 1.0, 2.7, 19.9, 80.5, 170.0):
+        y = np.concatenate([np.linspace(0.0, 1.2 * max(4.0, kappa), 500),
+                            np.geomspace(max(4.0, kappa), 1200.0, 500),
+                            rng.uniform(0.0, 1200.0, 1000)])
+        got = bold_M_on_imaginary(kappa, -y)
+        assert np.array_equal(got, np.conj(bold_M_on_imaginary(kappa, y))), kappa
+        assert all(bold_M(kappa, -1j * v) == bold_M(kappa, 1j * v).conjugate()
+                   for v in y[::20].tolist()), kappa
+
+
+@pytest.mark.parametrize("kappa", [5e-309, 5e-324])
+def test_kernel_at_kappa_where_gamma_overflows(kappa):
+    # below kappa = 5.6e-309 Gamma(kappa) overflows a double, although the
+    # kernel is within an ulp of e^z; every entry point stays finite
+    for y in (1.0, 5.0, -30.0, 900.0):
+        ref = _bold_M_reference(kappa, 1j * y)
+        for got in (bold_M(kappa, 1j * y), kummer_M(kappa, 1j * y),
+                    bold_M_array(kappa, np.array([1j * y]))[0],
+                    bold_M_on_imaginary(kappa, np.array([y]))[0]):
+            assert abs(got - ref) <= 2e-16 * abs(ref), (y, got, ref)
+    assert gamma_plus_one(kappa) == 1.0
 
 
 def test_vectorized_kernel_rejects_non_finite_input():
@@ -239,11 +267,54 @@ def test_cf_depth_rule_covers_domain():
     for d in range(1, _CF_DEPTH + 1):
         off = np.abs(_cf_g(kap, z, d) - ref) > 2.0 ** -53 * np.abs(ref)
         converged[off] = d + 1
-    depth = np.array([_cf_depth(k, abs(v)) for k, v in zip(kap, z)])
-    assert np.array_equal(_cf_depth(kap, np.abs(z)), depth)  # the array form
+    depth = np.array([_cf_depth(k, v) for k, v in zip(kap, z)])
+    assert np.array_equal(_cf_depth(kap, z), depth)  # the array form
     short = np.flatnonzero(depth < np.minimum(converged, _CF_DEPTH))
     assert short.size == 0, [(kap[i], z[i], depth[i], converged[i]) for i in short[:5]]
     assert depth.max() == _CF_DEPTH and depth.min() < 10
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="long double is no wider than a double here, so truncation "
+                           "below 2^-53 cannot be told from rounding")
+def test_cf_depth_axis_rule_covers_truncation():
+    # on the imaginary axis the rule answers for truncation, measured in long
+    # double (64-bit mantissa): every start from the point's depth on, up to
+    # 100, stays within 2^-53 relative of a start at depth 400. In double,
+    # rounding makes starts differ by an ulp long after the fraction has
+    # converged, which would read as a deeper depth than truncation needs
+    rng = np.random.default_rng(29)
+    kappas = np.concatenate([np.geomspace(1e-3, 170.0, 40), [1, 2, 3, 4, 7, 12, 50, 170],
+                             [0.0101, 0.37, 1.6101, 2.7, 2.9999]])
+    kap, y = [], []
+    for k in kappas.tolist():
+        edge = max(4.0, k)
+        ys = np.geomspace(edge, 1000.0, 40)
+        ys[0] = np.nextafter(edge, np.inf)
+        kap += [k] * ys.size
+        y += ys.tolist()
+    # random points, a tenth of them at integer kappa, where the fraction ends
+    k = np.exp(rng.uniform(math.log(1e-3), math.log(170.0), 1200))
+    k[:120] = rng.integers(1, 171, 120)
+    edge = np.nextafter(np.maximum(4.0, k), np.inf)
+    kap = np.concatenate([kap, k])
+    y = np.concatenate([y, edge * (1000.0 / edge) ** rng.uniform(0.0, 1.0, k.size)])
+    y *= rng.choice([-1.0, 1.0], y.size)
+
+    z = 1j * y
+    depth = _cf_depth(kap, z)
+    assert np.array_equal(depth, [_cf_depth(a, b) for a, b in zip(kap, z)])
+    kap_l = kap.astype(np.longdouble)
+    z_l = (1j * y.astype(np.longdouble)).astype(np.clongdouble)
+    ref = _cf_g(kap_l, z_l, 400)
+    converged = np.ones(z.size, dtype=int)
+    for d in range(1, 101):
+        off = np.abs(_cf_g(kap_l, z_l, d) - ref) > np.longdouble(2.0) ** -53 * np.abs(ref)
+        converged[off] = d + 1
+    short = np.flatnonzero(depth < converged)
+    assert short.size == 0, [(kap[i], y[i], depth[i], converged[i]) for i in short[:5]]
+    # at the benchmark's kappa <= 3 even the edge of the disk starts short of the cap
+    assert depth[kap <= 3.0].max() <= 63 and converged.max() < _CF_DEPTH
 
 
 # the golden kappa and two large ones, then 14 that are not exact binary

@@ -402,6 +402,17 @@ def test_transform_request_runs_catalog_function():
     assert first == pytest.approx(1.36184118059976, abs=2e-9)
 
 
+def test_transform_request_at_kappa_where_gamma_overflows():
+    # Gamma(kappa) overflows a double below kappa = 5.6e-309; the transform is
+    # then the classical one to within rounding
+    lams = (0.0, 20.0, 5)
+    classical = np.array(transform_grid(get_function("gaussian"), 0.0, np.linspace(*lams).tolist()))
+    for kappa in (5e-309, 5e-324):
+        rows = TransformRequest("gaussian", kappa, lams).run().strip().split("\n")[1:]
+        got = np.array([complex(float(r.split(",")[1]), float(r.split(",")[2])) for r in rows])
+        assert np.max(np.abs(got - classical)) < 1e-15, kappa
+
+
 def test_transform_request_grid_validation():
     with pytest.raises(ValueError):
         TransformRequest("bump", 0.5, (0.0, 1.0, 0)).lambdas
