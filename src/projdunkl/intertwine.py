@@ -14,6 +14,11 @@ one root at a time; orthogonality makes the per-root factors commute. Each
 factor is the moment sequence u^j -> kappa_j / (kappa_j + j), u = 1 - t_j,
 on polycore's expansion of a block monomial along the segment from x to
 the wall.
+
+The exact maps need only the standard library. The numeric maps (h_map on
+floats, erdelyi_kober_I_numeric, chi_numeric, chi_inverse_numeric,
+dual_chi) import numpy and the quadrature rules on their first call, so the
+exact path never loads them.
 """
 from __future__ import annotations
 
@@ -24,13 +29,9 @@ from functools import lru_cache
 from itertools import product as iter_product
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .functions import _support_bound
 from .gammaratio import GammaRatio, pochhammer
 from .polycore import (MPoly, _descending_terms, _map_root_blocks, _monomial_text,
                        _segment_average, poly_eval)
-from .quadrature import get_rule
 from .rootgeom import (OrthogonalSubsystem, RationalVector, _as_fraction,
                        build_subsystem_coordinate)
 
@@ -113,6 +114,8 @@ def h_map(subsystem: OrthogonalSubsystem, t: Sequence, x):
             c = x.dot(alpha) / alpha.norm_sq()
             out = out + alpha.scale((_as_fraction(tj) - 1) * c)
         return out
+    import numpy as np
+
     xf = np.asarray([float(v) for v in x], dtype=float)
     if xf.shape != (subsystem.dim,):
         raise ValueError(f"point must have shape ({subsystem.dim},)")
@@ -253,6 +256,8 @@ _DUAL_NODES = 7424
 
 
 def _require_finite(**values) -> None:
+    import numpy as np
+
     for name, v in values.items():
         if not (np.isfinite(v).all() if np.ndim(v) else cmath.isfinite(v)):
             raise ValueError(f"{name} = {v} is not finite")
@@ -275,6 +280,10 @@ def erdelyi_kober_I_numeric(gamma: float, delta: float, f: Callable, x):
     below 4e-15 at c = 1 and i (measured 1.1e-15) and below 2e-14 at c up to
     8i (measured 6.1e-15).
     """
+    import numpy as np
+
+    from .quadrature import get_rule
+
     _require_finite(gamma=gamma, delta=delta, x=x)
     if delta == 0:
         return f(x)
@@ -298,6 +307,8 @@ def chi_numeric(subsystem: OrthogonalSubsystem, f, x):
 
     Each root takes the Gauss-Jacobi rule of its weight in s = 1 - t_j.
     """
+    from .quadrature import get_rule
+
     if not all(cmath.isfinite(v) for v in x):
         raise ValueError(f"x = {list(x)} is not a finite point")
     rules = []
@@ -337,6 +348,17 @@ def chi_inverse_numeric(kappa: float, derivs: Sequence[Callable], x: float):
     return jets[0]
 
 
+def _check_dual_kappa(kappa: float) -> None:
+    """Refuse a kappa the dual map cannot take: not finite, not positive, or
+    so small that its weight exponent kappa - 1 rounds to -1."""
+    _require_finite(kappa=kappa)
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    if kappa - 1.0 == -1.0:
+        raise ValueError(f"kappa = {kappa} is too small: the weight exponent "
+                         "kappa - 1 rounds to -1")
+
+
 def dual_chi(kappa: float, g, x, support_bound: float | None = None):
     """Adjoint of the one-variable forward map:
 
@@ -367,9 +389,11 @@ def dual_chi(kappa: float, g, x, support_bound: float | None = None):
     worked together, about _DUAL_NODES nodes at a time, with one call of g on
     all the nodes of a block.
     """
-    _require_finite(kappa=kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    import numpy as np
+
+    from .functions import _support_bound
+
+    _check_dual_kappa(kappa)
     xs = np.asarray(x, dtype=float)
     if np.isnan(xs).any():
         raise ValueError("x = nan is not a point of the line")
@@ -392,6 +416,10 @@ def _segment_mesh(depth: int) -> tuple[np.ndarray, np.ndarray]:
     graded rule of this depth, depth + 1 cells split by halving toward 0, as
     graded_panels splits an end cell.
     """
+    import numpy as np
+
+    from .quadrature import get_rule
+
     t, tw = get_rule((_DUAL_ORDER + 1) // 2, depth)
     nodes, weights = get_rule(_DUAL_ORDER)
     x = np.concatenate([t, (np.arange(1.0, 4.0)[:, None] + nodes).ravel()])
@@ -402,6 +430,10 @@ def _segment_mesh(depth: int) -> tuple[np.ndarray, np.ndarray]:
 def _dual_live(kappa: float, value, x: np.ndarray, bound: float,
                corners: list[float]) -> np.ndarray:
     """dual_chi at points 0 < |x| < bound."""
+    import numpy as np
+
+    from .quadrature import get_rule
+
     ax = np.abs(x)
     sgn = np.where(x > 0, 1.0, -1.0)
     span = bound - ax

@@ -12,13 +12,14 @@ on polycore's segment expansion. The numeric path replaces the quotient by
 its analytic limit near a wall. On the coordinate subsystem sum_j T_j^2 has
 two exact assemblies, from T itself (laplacian_sum_sq) and in closed form
 (laplacian_expanded); the laplacian suite compares them.
+
+The exact paths need only the standard library; apply_T_numeric imports
+numpy on its first call.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .polycore import (
     MPoly,
@@ -80,6 +81,8 @@ def apply_T_numeric(subsystem: OrthogonalSubsystem, xi: RationalVector, f, x):
     Within a relative distance HYPERPLANE_GUARD of a wall the divided
     difference is replaced by its limit <grad f(tau x), alpha> / |alpha|^2.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     if x.shape != (subsystem.dim,):
         raise ValueError(f"point must have shape ({subsystem.dim},)")

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .functions import TestFunction, _support_bound, get_function
-from .intertwine import dual_chi
+from .intertwine import _check_dual_kappa, dual_chi
 from .kummer import bold_M_on_imaginary
 from .quadrature import _cell_count, _store, get_rule, graded_panels
 
@@ -152,8 +152,7 @@ def transform_through_dual(f, kappa: float, lams: Sequence[float],
     are both O(xmin) on the core. At the default xmin and a support of 1 the
     mesh has 960 dual points. f must not have a corner at 0.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    _check_dual_kappa(kappa)
     a = _support_bound(f, bound)
     if not 0 < xmin < a:
         raise ValueError("xmin must lie inside the support")

@@ -374,6 +374,18 @@ def test_factorization_rejects_non_positive_kappa():
             transform_through_dual(bump, kappa, [1.0])
 
 
+@pytest.mark.parametrize("kappa", [5e-309, 1e-20])
+def test_dual_map_rejects_kappa_whose_weight_exponent_rounds_to_minus_one(kappa):
+    # at 5e-309 Gamma(kappa) overflows in the closed-form core; at both, the
+    # weight exponent kappa - 1 of the dual map is exactly -1 in floating point
+    bump = get_function("bump")
+    message = re.escape(f"kappa = {kappa} is too small")
+    with pytest.raises(ValueError, match=message):
+        transform_through_dual(bump, kappa, [1.0])
+    with pytest.raises(ValueError, match=message):
+        dual_chi(kappa, bump, 0.5)
+
+
 def test_factorization_xmin_validation():
     bump = get_function("bump")
     with pytest.raises(ValueError):
