@@ -22,8 +22,7 @@ _EXPORTS = {
     "rootgeom": ("OrthogonalSubsystem", "RationalVector", "build_subsystem_A",
                  "build_subsystem_B", "build_subsystem_coordinate", "project",
                  "reflect"),
-    "polycore": ("MPoly", "directional_derivative", "partial_derivative",
-                 "poly_eval"),
+    "polycore": ("MPoly", "directional_derivative", "partial_derivative"),
     "gammaratio": ("GammaRatio", "pochhammer"),
     "functions": ("TestFunction", "catalog", "get_function"),
     "opengine": ("apply_T_numeric", "apply_T_poly", "commutator_poly",

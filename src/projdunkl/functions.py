@@ -1,8 +1,10 @@
 """Test function catalog for the numeric operator paths.
 
 Each entry carries a value map and enough derivatives for the operators that
-consume it. Rank-one entries are vectorized over numpy arrays; support_bound
-A means the function vanishes outside [-A, A] (None for unbounded support).
+consume it. Every entry is a function of one variable, vectorized over numpy
+arrays; support_bound A means the function vanishes outside [-A, A] (None
+for unbounded support), and the integrals of the numeric layer run over
+[-A, A].
 """
 from __future__ import annotations
 
@@ -15,14 +17,13 @@ import numpy as np
 
 @dataclass
 class TestFunction:
-    """A named function R^dim -> C with analytic derivatives.
+    """A named function R -> C with analytic derivatives.
 
-    For dim == 1, gradient(x) returns the scalar derivative. second_derivative
-    is optional and only needed by second-order operators.
+    gradient(x) returns the derivative. second_derivative is optional and
+    only needed by second-order operators.
     """
 
     name: str
-    dim: int
     value: Callable
     gradient: Callable
     support_bound: Optional[float] = None
@@ -34,18 +35,13 @@ class TestFunction:
     def __call__(self, x):
         return self.value(x)
 
-    def derivative(self, x):
-        if self.dim != 1:
-            raise ValueError("scalar derivative only defined for dim 1")
-        return self.gradient(x)
 
-
-def _support_bound(f, bound: float | None) -> float:
-    """The support bound A of f: bound if given, else f.support_bound.
+def _support_bound(f) -> float:
+    """The support bound A of f, its support_bound attribute.
 
     Integrals over [-A, A] need a positive finite A; anything else raises.
     """
-    a = bound if bound is not None else getattr(f, "support_bound", None)
+    a = getattr(f, "support_bound", None)
     if a is None:
         raise ValueError("a finite support bound is required")
     a = float(a)
@@ -136,13 +132,13 @@ def _ind13_d(x):
 
 def catalog() -> dict[str, TestFunction]:
     return {
-        "exp": TestFunction("exp", 1, _exp_v, _exp_v, None, _exp_v),
-        "gaussian": TestFunction("gaussian", 1, _gauss_v, _gauss_d, 8.0, _gauss_d2),
-        "bump": TestFunction("bump", 1, _bump_v, _bump_d, 1.0, _bump_d2,
+        "exp": TestFunction("exp", _exp_v, _exp_v, None, _exp_v),
+        "gaussian": TestFunction("gaussian", _gauss_v, _gauss_d, 8.0, _gauss_d2),
+        "bump": TestFunction("bump", _bump_v, _bump_d, 1.0, _bump_d2,
                              corners=(-1.0, 1.0)),
-        "indicator": TestFunction("indicator", 1, _indicator_v, lambda x: 0.0 * np.asarray(x, dtype=float),
+        "indicator": TestFunction("indicator", _indicator_v, lambda x: 0.0 * np.asarray(x, dtype=float),
                                   1.0, corners=(-1.0, 1.0)),
-        "ind13": TestFunction("ind13", 1, _ind13_v, _ind13_d, 3.0,
+        "ind13": TestFunction("ind13", _ind13_v, _ind13_d, 3.0,
                               corners=(1.0, 1.5, 2.5, 3.0)),
     }
 
@@ -153,26 +149,3 @@ def get_function(name: str) -> TestFunction:
         raise ValueError(f"unknown catalog function {name!r}; have {sorted(cat)}")
     return cat[name]
 
-
-def from_poly(p) -> TestFunction:
-    """Wrap an exact polynomial as a numeric test function (any dimension)."""
-    from .polycore import MPoly, poly_eval, partial_derivative
-
-    if p.nvars == 1:
-        derivs = [p]
-        for _ in range(2):
-            derivs.append(partial_derivative(derivs[-1], 0))
-        return TestFunction(
-            f"poly[{p.to_text()}]", 1,
-            lambda x: poly_eval(p, [x]) if np.isscalar(x) else np.array([poly_eval(p, [v]) for v in np.atleast_1d(x)]),
-            lambda x: poly_eval(derivs[1], [x]),
-            None,
-            lambda x: poly_eval(derivs[2], [x]),
-        )
-    grads = [partial_derivative(p, j) for j in range(p.nvars)]
-    return TestFunction(
-        f"poly[{p.to_text()}]", p.nvars,
-        lambda x: poly_eval(p, list(x)),
-        lambda x: np.array([poly_eval(g, list(x)) for g in grads], dtype=float),
-        None,
-    )

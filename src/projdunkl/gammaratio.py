@@ -2,12 +2,12 @@
 
 A GammaRatio is coef * prod Gamma(a)^e over rational a. Reduction applies
 Gamma(z+1) = z Gamma(z) within each residue class mod 1 until every class
-carries a single base argument, its smallest; integer-argument factors
-collapse into the rational coefficient. That stored form depends on the
-arguments given (2/G(7/2) and 8/15/G(3/2) are one value) and is what str
-prints. Equality and hashing use the normal form, which rebases each class on
-its residue in (0, 1), so equal values compare and hash equal, and a rational
-ratio hashes as its Fraction.
+carries a single base argument, its smallest; the positive integers form
+one class, whose base factor collapses into the rational coefficient. That
+stored form depends on the arguments given (2/G(7/2) and 8/15/G(3/2) are one
+value) and is what str prints. Equality and hashing use the normal form,
+which rebases each class on its residue in (0, 1), so equal values compare
+and hash equal, and a rational ratio hashes as its Fraction.
 """
 from __future__ import annotations
 
@@ -22,6 +22,9 @@ def pochhammer(z: Fraction, k: int) -> Fraction:
     if k < 0:
         raise ValueError("negative Pochhammer length")
     n, d = z.numerator, z.denominator
+    if d == 1 and n > 0:
+        # (n + k - 1)! / (n - 1)!, multiplied out in C
+        return Fraction(math.perm(n + k - 1, k))
     out = 1
     for j in range(k):
         out *= n + j * d
@@ -39,17 +42,15 @@ class GammaRatio:
             for arg in args:
                 a = _as_fraction(arg)
                 exps[a] = exps.get(a, 0) + sign
-        # group by residue class mod 1, keyed (numerator mod d, d); positive
-        # integers collapse to factorials, every other class is rebased on its
-        # minimal argument
+        # group by residue class mod 1, keyed (numerator mod d, d), and rebase
+        # each class on its minimal argument; the positive integers are one
+        # class, whose net Gamma(base)^total collapses to a factorial
         classes: dict[tuple[int, int], list[tuple[Fraction, int]]] = {}
         for a, e in exps.items():
             n, d = a.numerator, a.denominator
-            if d == 1:
-                if n <= 0:
-                    raise ValueError(f"Gamma pole at argument {a}")
-                coef *= Fraction(math.factorial(n - 1)) ** e
-            elif e:
+            if d == 1 and n <= 0:
+                raise ValueError(f"Gamma pole at argument {a}")
+            if e:
                 classes.setdefault((n % d, d), []).append((a, e))
         factors: dict[Fraction, int] = {}
         for (_, d), members in classes.items():
@@ -60,7 +61,9 @@ class GammaRatio:
                 if k:
                     coef *= pochhammer(base, k) ** e
                 total += e
-            if total:
+            if total and d == 1:
+                coef *= Fraction(math.factorial(base.numerator - 1)) ** total
+            elif total:
                 factors[base] = total
         if coef == 0:
             factors = {}
@@ -75,9 +78,6 @@ class GammaRatio:
     # ---- queries ----------------------------------------------------------
     def is_rational(self) -> bool:
         return not self.factors
-
-    def is_one(self) -> bool:
-        return self.coef == 1 and not self.factors
 
     def as_fraction(self) -> Fraction:
         if self.factors:

@@ -15,10 +15,10 @@ factor is the moment sequence u^j -> kappa_j / (kappa_j + j), u = 1 - t_j,
 on polycore's expansion of a block monomial along the segment from x to
 the wall.
 
-The exact maps need only the standard library. The numeric maps (h_map on
-floats, erdelyi_kober_I_numeric, chi_numeric, chi_inverse_numeric,
-dual_chi) import numpy and the quadrature rules on their first call, so the
-exact path never loads them.
+The exact maps need only the standard library. The numeric maps (h_map,
+erdelyi_kober_I_numeric, chi_numeric, chi_inverse_numeric, dual_chi) import
+numpy and the quadrature rules on their first call, so the exact path never
+loads them.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from .gammaratio import GammaRatio, pochhammer
 from .polycore import (MPoly, _descending_terms, _map_root_blocks, _monomial_text,
-                       _segment_average, poly_eval)
+                       _segment_average)
 from .rootgeom import (OrthogonalSubsystem, RationalVector, _as_fraction,
                        build_subsystem_coordinate)
 
@@ -73,9 +73,6 @@ class GPoly:
         ratio = other.scale / self.scale
         return ratio.is_rational() and self.poly == other.poly * ratio.as_fraction()
 
-    def eval_float(self, point: Sequence[float]) -> float:
-        return self.scale.to_float() * poly_eval(self.poly, [float(x) for x in point])
-
     def to_text(self) -> str:
         """[c*scale]*monomial per term, highest degree first."""
         den = self.poly.den
@@ -100,20 +97,9 @@ def _as_gpoly(p) -> GPoly:
 # ---- the deformation map -----------------------------------------------------
 
 def h_map(subsystem: OrthogonalSubsystem, t: Sequence, x):
-    """h(t, x): slide each root component of x by its own factor t_j.
-
-    Exact when t and x are rational (RationalVector result); float otherwise.
-    """
+    """h(t, x): slide each root component of x by its own factor t_j, in floats."""
     if len(t) != subsystem.nroots:
         raise ValueError("one t per root required")
-    exact = isinstance(x, RationalVector) and all(
-        isinstance(v, (int, Fraction)) for v in t)
-    if exact:
-        out = x
-        for tj, alpha in zip(t, subsystem.roots):
-            c = x.dot(alpha) / alpha.norm_sq()
-            out = out + alpha.scale((_as_fraction(tj) - 1) * c)
-        return out
     import numpy as np
 
     xf = np.asarray([float(v) for v in x], dtype=float)
@@ -359,18 +345,18 @@ def _check_dual_kappa(kappa: float) -> None:
                          "kappa - 1 rounds to -1")
 
 
-def dual_chi(kappa: float, g, x, support_bound: float | None = None):
+def dual_chi(kappa: float, g, x):
     """Adjoint of the one-variable forward map:
 
         (1 / Gamma(kappa)) integral_|x|^A (t - |x|)^(kappa-1) t^(-kappa) g(sgn(x) t) dt,
 
-    zero for |x| >= A. In the shifted variable u = t - |x| the endpoint weight
-    u^(kappa-1) is taken on a head interval [0, h] by the graded end rule
-    get_rule(_END_ORDER, _END_DEPTH, kappa - 1) scaled onto it, where h is
-    the smaller of |x| and half the first cut, the first corner of g or the
-    support end. The rest is integrated on segments from h to that cut and
-    between the cuts. g must be smooth up to each side of its corners, as
-    every catalog function is, so the only singular point near a segment is
+    zero for |x| >= A, A = g.support_bound. In the shifted variable u = t - |x|
+    the endpoint weight u^(kappa-1) is taken on a head interval [0, h] by the
+    graded end rule get_rule(_END_ORDER, _END_DEPTH, kappa - 1) scaled onto
+    it, where h is the smaller of |x| and half the first cut, the first corner
+    of g or the support end. The rest is integrated on segments from h to that
+    cut and between the cuts. g must be smooth up to each side of its corners,
+    as every catalog function is, so the only singular point near a segment is
     the weight's, below its lower end: each segment is cut into four cells at
     the full order, and the first is refined geometrically toward the lower
     end in half-order slivers (_segment_mesh). A segment that starts at a
@@ -399,7 +385,7 @@ def dual_chi(kappa: float, g, x, support_bound: float | None = None):
         raise ValueError("x = nan is not a point of the line")
     if (xs == 0).any():
         raise ValueError("the dual map is evaluated away from the origin")
-    bound = _support_bound(g, support_bound)
+    bound = _support_bound(g)
     flat = xs.ravel()
     out = np.zeros(flat.shape)
     live = np.flatnonzero(np.abs(flat) < bound)

@@ -386,8 +386,7 @@ def eigen_rank_one(kappa: float, lam: float) -> TestFunction:
     def second(x):
         return -(lam ** 2) * g * bold_M_derivative(kappa, 1j * lam * float(x), 2)
 
-    return TestFunction(f"eigen(kappa={kappa}, lam={lam})", 1, value, deriv,
-                        None, second)
+    return TestFunction(f"eigen(kappa={kappa}, lam={lam})", value, deriv, None, second)
 
 
 def generalized_ode_residual(kappa: float, lam: float, x: float) -> float:

@@ -124,8 +124,8 @@ def commutator_poly(subsystem: OrthogonalSubsystem, xi: RationalVector,
 def one_var_T(kappa: float, f, x: float):
     """f'(x) + kappa (f(x) - f(0)) / x, with the x=0 limit (1 + kappa) f'(0)."""
     if abs(x) < ZERO_TOL:
-        return (1.0 + kappa) * f.derivative(0.0)
-    return f.derivative(x) + kappa * (f.value(x) - f.value(0.0)) / x
+        return (1.0 + kappa) * f.gradient(0.0)
+    return f.gradient(x) + kappa * (f.value(x) - f.value(0.0)) / x
 
 
 def one_var_T_squared(kappa: float, f, x: float):
@@ -140,8 +140,8 @@ def one_var_T_squared(kappa: float, f, x: float):
     if abs(x) < ZERO_TOL:
         return f.second_derivative(0.0) * (kappa + 1.0) * (kappa + 2.0) / 2.0
     f0 = f.value(0.0)
-    d0 = f.derivative(0.0)
-    return (f.second_derivative(x) + (2.0 * kappa / x) * f.derivative(x)
+    d0 = f.gradient(0.0)
+    return (f.second_derivative(x) + (2.0 * kappa / x) * f.gradient(x)
             + kappa * (kappa - 1.0) * (f.value(x) - f0) / x ** 2
             - kappa * (kappa + 1.0) * d0 / x)
 

@@ -154,9 +154,6 @@ class MPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.num), default=0)
 
-    def copy(self) -> "MPoly":
-        return MPoly._from_parts(self.nvars, dict(self.num), self.den)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, MPoly) and self.nvars == other.nvars
                 and self.den == other.den and self.num == other.num)

@@ -48,6 +48,8 @@ import numpy as np
 # callers that sweep many kappa.
 _CACHE_SIZE = 256
 _cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+# halvings of graded_panels' end cells: the innermost sliver is 2^-24 of a cell
+_PANEL_DEPTH = 24
 
 
 def _store(table: dict, key, value, size: int):
@@ -150,24 +152,24 @@ def _cell_count(length: float, max_width: float | None) -> int:
     return math.ceil(length / width)
 
 
-def graded_panels(a: float, b: float, order: int, max_width: float | None = None,
-                  depth: int = 24) -> tuple[np.ndarray, np.ndarray]:
+def graded_panels(a: float, b: float, order: int,
+                  max_width: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss nodes and weights on [a, b], refined toward both ends.
 
     [a, b] is cut into at least four equal cells no wider than max_width, with
     order nodes each. The first and last are split by repeated halving toward
-    the endpoints into depth + 1 slivers, the innermost kept as a cell of its
-    own, at half the order. This restores fast convergence when the integrand
-    loses smoothness only at the ends of the interval (support edges, corner
-    points, weight factors whose scale shrinks toward an endpoint). The
-    sliver at level k, k halvings in from the cell's inner edge, is 2^-(k+1)
-    of the cell wide and carries that share of its mass.
+    the endpoints into _PANEL_DEPTH + 1 = 25 slivers, the innermost kept as a
+    cell of its own, at half the order. This restores fast convergence when
+    the integrand loses smoothness only at the ends of the interval (support
+    edges, corner points, weight factors whose scale shrinks toward an
+    endpoint). The sliver at level k, k halvings in from the cell's inner
+    edge, is 2^-(k+1) of the cell wide and carries that share of its mass.
     """
     length = b - a
     if not length > 0:
         raise ValueError("panel range must have positive length")
     nodes, weights = get_rule(order)
-    t, tw = get_rule((order + 1) // 2, depth)
+    t, tw = get_rule((order + 1) // 2, _PANEL_DEPTH)
     edges = np.linspace(a, b, _cell_count(length, max_width) + 1)
     first, last = edges[1] - a, b - edges[-2]
     widths = np.diff(edges[1:-1])

@@ -14,7 +14,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_FRACTION_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 
 
 def _as_fraction(v) -> Fraction:
@@ -180,11 +180,28 @@ class OrthogonalSubsystem:
             obj = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValueError(f"subsystem JSON malformed at offset {e.pos}: {e.msg}") from None
+        if not isinstance(obj, dict):
+            raise ValueError("subsystem JSON must be an object")
         for key in ("dim", "roots", "kappas"):
             if key not in obj:
                 raise ValueError(f"subsystem JSON missing field {key!r}")
-        roots = [RationalVector(r) for r in obj["roots"]]
-        return cls(int(obj["dim"]), roots, obj["kappas"])
+        dim, roots, kappas = obj["dim"], obj["roots"], obj["kappas"]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"subsystem JSON field 'dim' = {dim!r} is not a positive integer")
+        if not (isinstance(roots, list) and all(isinstance(r, list) for r in roots)):
+            raise ValueError("subsystem JSON field 'roots' is not a list of lists")
+        if not isinstance(kappas, list):
+            raise ValueError("subsystem JSON field 'kappas' is not a list")
+        return cls(dim, [RationalVector(_json_rational("roots", c) for c in r) for r in roots],
+                   [_json_rational("kappas", k) for k in kappas])
+
+
+def _json_rational(field: str, v) -> Fraction:
+    """An entry of a subsystem JSON field: an integer or a rational string."""
+    if type(v) is int or isinstance(v, str) and _FRACTION_RE.match(v.strip()):
+        return _as_fraction(v)
+    raise ValueError(f"subsystem JSON field {field!r} holds {v!r}, "
+                     "not an integer or a rational string")
 
 
 def build_subsystem_A(dim: int, kappas: Sequence) -> OrthogonalSubsystem:

@@ -8,6 +8,7 @@ transform_through_dual computes. Every function here returns values; the
 transform suite holds the tolerances that compare them. Quadrature uses
 oscillation-limited Gauss panels aligned to the support and split at the
 corners of f, so hard-edged functions are integrated exactly panel by panel.
+Every entry integrates over [-A, A], A = f.support_bound.
 A panel is at most 4 pi / max(1, |lam|) wide, two periods of e^(i lam x),
 with 24 nodes: Gauss-Legendre converges geometrically on analytic
 integrands (Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
@@ -33,6 +34,9 @@ from .kummer import bold_M_on_imaginary
 from .quadrature import _cell_count, _store, get_rule, graded_panels
 
 _PANEL_ORDER = 24
+# transform_through_dual integrates the dual image down to |x| = _XMIN and
+# adds the core |x| < _XMIN in closed form
+_XMIN = 1e-6
 # meshes by (cuts, order, cells per piece): a mesh depends on lam only through
 # its cell counts, so one 64-point request builds a handful; read-only arrays
 _MESH_CACHE_SIZE = 8
@@ -62,11 +66,11 @@ def _panel_width(lam: float) -> float:
     return 4.0 * math.pi / max(1.0, abs(lam))
 
 
-def kummer_transform(f, kappa: float, lam: float, bound: float | None = None) -> complex:
+def kummer_transform(f, kappa: float, lam: float) -> complex:
     """F_kappa(f)(lam) over the (finite) support of f."""
     if not math.isfinite(lam):
         raise ValueError(f"lam = {lam} is not finite")
-    a = _support_bound(f, bound)
+    a = _support_bound(f)
     x, w = _panel_nodes(f, a, _panel_width(lam))
     fx = np.array(np.broadcast_to(f(x), x.shape), dtype=complex)
     # nodes where f vanishes add exact zeros, so the kernel skips them; the
@@ -76,13 +80,12 @@ def kummer_transform(f, kappa: float, lam: float, bound: float | None = None) ->
     return complex(np.dot(w, fx))
 
 
-def transform_grid(f, kappa: float, lams: Sequence[float],
-                   bound: float | None = None) -> np.ndarray:
-    return np.array([kummer_transform(f, kappa, lam, bound) for lam in lams])
+def transform_grid(f, kappa: float, lams: Sequence[float]) -> np.ndarray:
+    return np.array([kummer_transform(f, kappa, lam) for lam in lams])
 
 
-def l1_norm(f, bound: float | None = None) -> float:
-    a = _support_bound(f, bound)
+def l1_norm(f) -> float:
+    a = _support_bound(f)
     x, w = _panel_nodes(f, a, a / 4.0, order=64)
     return float(np.dot(w, np.abs(np.asarray(f(x)))))
 
@@ -113,8 +116,8 @@ def _digamma(x: float) -> float:
     return math.fsum(parts)
 
 
-def _dual_core(f, kappa: float, a: float, xmin: float) -> float:
-    """The integral of the dual image over |x| < xmin, up to O(xmin^2).
+def _dual_core(f, kappa: float, a: float) -> float:
+    """The integral of the dual image over |x| < _XMIN, up to O(_XMIN^2).
 
     Near 0 the dual image is
 
@@ -136,31 +139,30 @@ def _dual_core(f, kappa: float, a: float, xmin: float) -> float:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             t, wt = graded_panels(lo, hi, _PANEL_ORDER)
             j += float(np.dot(wt, (np.asarray(f(sgn * t)) - f0) / t))
-    side = f0 * (math.log(a / xmin) + 1.0 - _digamma(kappa) - np.euler_gamma)
-    return xmin * (2.0 * side + j) / math.gamma(kappa)
+    side = f0 * (math.log(a / _XMIN) + 1.0 - _digamma(kappa) - np.euler_gamma)
+    return _XMIN * (2.0 * side + j) / math.gamma(kappa)
 
 
-def transform_through_dual(f, kappa: float, lams: Sequence[float],
-                           bound: float | None = None,
-                           xmin: float = 1e-6) -> np.ndarray:
+def transform_through_dual(f, kappa: float, lams: Sequence[float]) -> np.ndarray:
     """F_0(dual chi f)(lam) on the grid, the factorized form of F_kappa f.
 
     The dual image is smooth away from 0 but only log-bounded at 0, so its
-    Fourier side is integrated on geometrically graded panels down to xmin
-    and the core |x| < xmin is added in closed form (_dual_core). What is
-    left is O(xmin^2): e^(i lam x) - 1 and the O(s) term of the dual image
-    are both O(xmin) on the core. At the default xmin and a support of 1 the
-    mesh has 960 dual points. f must not have a corner at 0.
+    Fourier side is integrated on geometrically graded panels down to
+    _XMIN = 1e-6 and the core |x| < _XMIN is added in closed form
+    (_dual_core). What is left is O(_XMIN^2): e^(i lam x) - 1 and the O(s)
+    term of the dual image are both O(_XMIN) on the core. For a support
+    bound f.support_bound of 1 the mesh has 960 dual points. The support
+    bound must exceed _XMIN, and f must not have a corner at 0.
     """
     _check_dual_kappa(kappa)
-    a = _support_bound(f, bound)
-    if not 0 < xmin < a:
-        raise ValueError("xmin must lie inside the support")
-    core = _dual_core(f, kappa, a, xmin)
-    # geometric edges xmin = a r^n < ... < a, mirrored to the negative side
-    n = max(1, math.ceil(math.log(a / xmin) / math.log(2.0)))
+    a = _support_bound(f)
+    if not _XMIN < a:
+        raise ValueError(f"support bound {a} must exceed the core radius {_XMIN}")
+    core = _dual_core(f, kappa, a)
+    # geometric edges _XMIN = a r^n < ... < a, mirrored to the negative side
+    n = max(1, math.ceil(math.log(a / _XMIN) / math.log(2.0)))
     pos_edges = a * (0.5 ** np.arange(n + 1))
-    pos_edges[-1] = xmin
+    pos_edges[-1] = _XMIN
     nodes, weights = get_rule(_PANEL_ORDER)
     xs = []
     ws = []
@@ -169,14 +171,13 @@ def transform_through_dual(f, kappa: float, lams: Sequence[float],
             xs.append(s * (lo + (hi - lo) * nodes))
             ws.append(np.full_like(nodes, (hi - lo)) * weights)
     x = np.concatenate(xs)
-    wd = np.concatenate(ws) * dual_chi(kappa, f, x, support_bound=a)
+    wd = np.concatenate(ws) * dual_chi(kappa, f, x)
     return np.array([complex(np.dot(wd, np.exp(1j * lam * x))) + core for lam in lams])
 
 
-def transform_csv(f, kappa: float, lams: Sequence[float],
-                  bound: float | None = None) -> str:
+def transform_csv(f, kappa: float, lams: Sequence[float]) -> str:
     lines = ["lambda,re,im,abs"]
-    for lam, v in zip(lams, transform_grid(f, kappa, lams, bound)):
+    for lam, v in zip(lams, transform_grid(f, kappa, lams)):
         lines.append(f"{lam},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}")
     return "\n".join(lines) + "\n"
 

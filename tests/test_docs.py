@@ -5,7 +5,7 @@ import shlex
 from pathlib import Path
 
 import projdunkl
-from projdunkl.cli import build_parser
+from projdunkl import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 PACKAGE = Path(projdunkl.__file__).parent
@@ -28,13 +28,17 @@ def test_quickstart_runs_and_shows_its_exact_output():
         assert eval(expr, namespace) == text
 
 
-def test_cli_examples_parse():
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # in a scratch directory, since one example writes report.jsonl; the
+    # injected fault must fail verify, every other example succeeds
     lines = [line.split("#")[0] for line in _block_after("CLI equivalents").splitlines()]
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("projdunkl ")]
     assert len(commands) == 7
-    parser = build_parser()
+    monkeypatch.chdir(tmp_path)
     for argv in commands:
-        assert callable(parser.parse_args(argv).func), argv
+        assert cli.main(argv) == (1 if "--inject-fault" in argv else 0), argv
+    assert "error:" not in capsys.readouterr().err
+    assert (tmp_path / "report.jsonl").stat().st_size > 0
 
 
 def test_every_exported_name_resolves():
@@ -57,3 +61,38 @@ def test_every_exported_name_has_a_caller_in_the_package():
                 used.add(node.attr)
     api = [name for name in projdunkl.__all__ if not name.startswith("__")]
     assert [name for name in api if name not in used | exempt] == []
+
+
+def _sets(call: ast.Call, index, name: str) -> bool:
+    """Whether call can set the parameter at position index (None for
+    keyword-only) or by keyword name, unpacked arguments included."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (name, None) for k in call.keywords)
+            or index is not None and len(call.args) > index)
+
+
+def test_every_optional_parameter_is_passed_inside_the_package():
+    # an option that no call in the package sets is a knob only tests turn;
+    # main's argv is how a script or a test runs the command line
+    exempt = {"cli.main(argv)"}
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            optional = list(enumerate(args))[len(args) - len(fn.args.defaults):]
+            optional += [(None, a) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                         if d is not None]
+            for index, arg in optional:
+                if not any(_sets(call, index, arg.arg) for call in calls.get(fn.name, ())):
+                    unset.append(f"{module}.{fn.name}({arg.arg})")
+    assert sorted(set(unset) - exempt) == []

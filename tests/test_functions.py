@@ -5,8 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from projdunkl import MPoly, catalog, get_function
-from projdunkl.functions import from_poly
+from projdunkl import catalog, get_function
 
 
 SMOOTH_POINTS = [-1.7, -0.4, 0.31, 0.9, 1.6, 2.2]
@@ -20,7 +19,7 @@ def test_gradient_matches_finite_differences(name):
     h = 1e-6
     for x in SMOOTH_POINTS:
         fd = (f.value(x + h) - f.value(x - h)) / (2 * h)
-        an = f.derivative(x)
+        an = f.gradient(x)
         gap = abs(an - fd) / max(abs(an), abs(fd), 1e-9)
         assert gap <= 2e-5, f"{name}: gradient mismatch {gap:.3e} at x={x}"
 
@@ -102,22 +101,3 @@ def test_unknown_name():
 def test_catalog_names_are_keys():
     for name, f in catalog().items():
         assert f.name == name
-
-
-def test_from_poly_one_var():
-    f = from_poly(MPoly.from_text("x1^3 - 2*x1"))
-    assert f.value(2.0) == pytest.approx(4.0)
-    assert f.gradient(2.0) == pytest.approx(10.0)
-    assert f.second_derivative(2.0) == pytest.approx(12.0)
-
-
-def test_from_poly_multivar_gradient():
-    f = from_poly(MPoly.from_text("x1^2*x2", 2))
-    g = f.gradient(np.array([1.0, 3.0]))
-    np.testing.assert_allclose(g, [6.0, 1.0])
-
-
-def test_scalar_derivative_guard():
-    f = from_poly(MPoly.from_text("x1*x2", 2))
-    with pytest.raises(ValueError):
-        f.derivative(np.array([1.0, 2.0]))

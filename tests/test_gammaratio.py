@@ -1,5 +1,6 @@
 """Symbolic Gamma-ratio coefficients: canonical reduction and arithmetic."""
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,18 @@ def test_integer_class_reduces_to_factorials():
     assert r.as_fraction() == 6
 
 
+def test_large_integer_arguments_cancel_before_any_factorial():
+    # G(n + 1)/G(n + 2) is 1/(n + 1) by one Pochhammer step; (10^6)! is
+    # never formed, which took seconds
+    start = time.perf_counter()
+    r = GammaRatio(1, num=[10**6 + 1], den=[10**6 + 2])
+    assert r == F(1, 10**6 + 1)
+    assert GammaRatio(1, num=[10**6, 3], den=[10**6, 2]) == 2
+    # members far apart: one Pochhammer product of 20000 factors
+    assert GammaRatio(1, num=[1], den=[20001]) == F(1, math.factorial(20000))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_same_class_reduces_via_pochhammer():
     # G(7/2)/G(1/2) = (1/2)(3/2)(5/2) = 15/8
     r = GammaRatio(1, num=[F(7, 2)], den=[F(1, 2)])
@@ -37,9 +50,9 @@ def test_distinct_classes_stay_symbolic():
 
 def test_is_one_after_cancellation():
     r = GammaRatio(F(15, 8), num=[F(1, 2)], den=[F(7, 2)])
-    assert r.is_one()
-    assert GammaRatio.one().is_one()
-    assert not GammaRatio(2).is_one()
+    assert r == 1
+    assert GammaRatio.one() == 1
+    assert GammaRatio(2) != 1
 
 
 def test_mul_and_div_recanonicalize():
@@ -49,7 +62,7 @@ def test_mul_and_div_recanonicalize():
     assert prod.is_rational()
     assert prod.as_fraction() == F(3, 4)  # G(5/2)/G(1/2) = (1/2)(3/2)
     quot = a / GammaRatio(1, num=[F(5, 2)])
-    assert quot.is_one()
+    assert quot == 1
 
 
 def test_scalar_mul():
@@ -62,6 +75,8 @@ def test_pole_rejected():
         GammaRatio(1, num=[F(0)])
     with pytest.raises(ValueError):
         GammaRatio(1, den=[F(-2)])
+    with pytest.raises(ValueError, match="pole at argument -1"):
+        GammaRatio(1, num=[F(-1)], den=[F(-1)])  # even where it would cancel
 
 
 def test_to_float():
@@ -96,7 +111,7 @@ def test_product_cancellation(a, b, m, n):
     # (G(a+m)/G(a)) * (G(b)/G(b+n)) * inverse pair collapses to 1
     r = GammaRatio(1, num=[a + m], den=[a]) * GammaRatio(1, num=[b], den=[b + n])
     inv = GammaRatio(1, num=[a], den=[a + m]) * GammaRatio(1, num=[b + n], den=[b])
-    assert (r * inv).is_one()
+    assert r * inv == 1
 
 
 @given(positive_args, shifts)

@@ -29,10 +29,11 @@ from projdunkl import (
     laplacian_sum_sq,
     rho_poly,
 )
-from projdunkl import intertwine, quadrature
+from projdunkl import functions, intertwine, quadrature
 from projdunkl.functions import get_function
 from projdunkl.gammaratio import GammaRatio
 from projdunkl.kummer import _bold_M_reference, bold_M_jet
+from projdunkl.polycore import poly_eval
 
 
 def rv(*coords):
@@ -43,30 +44,38 @@ def P(text, nvars=None):
     return MPoly.from_text(text, nvars)
 
 
+def gpoly_value(g, x):
+    """The one-variable GPoly g at the float x."""
+    return g.scale.to_float() * poly_eval(g.poly, [x])
+
+
 # ---- deformation map ----
 
 def test_h_map_exact_single_root():
-    # alpha = e1 - e2, t = 1/2: the alpha component of (3, 1) is halved
+    # alpha = e1 - e2, t = 1/2: the alpha component of (3, 1) is halved;
+    # every value here is exact in binary floating point
     sub = build_subsystem_A(2, [F(1, 2)])
-    out = h_map(sub, [F(1, 2)], rv(3, 1))
-    assert out == rv(F(5, 2), F(3, 2))
+    assert h_map(sub, [0.5], rv(3, 1)).tolist() == [2.5, 1.5]
     # t = 1 is the identity, t = 0 lands on the wall
-    assert h_map(sub, [1], rv(3, 1)) == rv(3, 1)
-    assert h_map(sub, [0], rv(3, 1)) == rv(2, 2)
+    assert h_map(sub, [1], rv(3, 1)).tolist() == [3.0, 1.0]
+    assert h_map(sub, [0], [3.0, 1.0]).tolist() == [2.0, 2.0]
 
 
 def test_h_map_float_path_matches_exact():
+    # x + sum_j (t_j - 1) <x, alpha_j> / |alpha_j|^2 alpha_j in rationals
     sub = build_subsystem_A(4, [F(1, 2), F(2)])
-    x = rv(1, -2, F(1, 3), 5)
-    exact = h_map(sub, [F(1, 4), F(2, 3)], x)
+    x, t = rv(1, -2, F(1, 3), 5), [F(1, 4), F(2, 3)]
+    exact = x
+    for tj, alpha in zip(t, sub.roots):
+        exact = exact + alpha.scale((tj - 1) * x.dot(alpha) / alpha.norm_sq())
     approx = h_map(sub, [0.25, 2.0 / 3.0], [1.0, -2.0, 1.0 / 3.0, 5.0])
-    assert np.allclose(approx, [float(c) for c in exact], rtol=1e-15, atol=0)
+    assert np.allclose(approx, [float(c) for c in exact.coords], rtol=1e-15, atol=0)
 
 
 def test_h_map_wrong_t_length():
     sub = build_subsystem_A(2, [F(1, 2)])
     with pytest.raises(ValueError):
-        h_map(sub, [F(1, 2), F(1, 2)], rv(1, 0))
+        h_map(sub, [0.5, 0.5], [1.0, 0.0])
 
 
 def test_h_map_rejects_point_of_wrong_length():
@@ -83,7 +92,7 @@ def test_chi_one_var_monomials():
     g = chi_one_var(P("x1^2"), 1)
     assert g == GPoly(P("x1^2"), GammaRatio(2, den=[4]))
     # kappa = 1 makes every factor rational: 2/Gamma(4) = 1/3
-    assert g.eval_float([1.0]) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert gpoly_value(g, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_chi_poly_scaled_coordinate_square():
@@ -100,7 +109,7 @@ def test_chi_poly_scaled_skips_zero_kappa():
     img, scale = chi_poly_scaled(sub, P("x1^2*x2", 2))
     # x1 untouched, x2 -> 1/2 x2
     assert img == P("1/2*x1^2*x2", 2)
-    assert scale.is_one()
+    assert scale == 1
 
 
 def test_chi_poly_scaled_dimension_mismatch():
@@ -115,7 +124,6 @@ def test_chi_poly_scaled_matches_tensor_quadrature():
     p = P("x1^3 + 2*x1*x2^2 - x2", 2)
     img, scale = chi_poly_scaled(sub, p)
     x = [0.7, -0.4]
-    from projdunkl.polycore import poly_eval
     want = chi_numeric(sub, lambda pt: poly_eval(p, pt), x)
     # chi = scale * img where scale = 1/prod Gamma(kappa_j + 1)
     got = float(poly_eval(img, x)) * scale.to_float()
@@ -249,14 +257,14 @@ def test_gpoly_addition_across_rationally_related_scales():
     assert total.to_text() == ("[567/667*G(7/2)/G(23/6)]*x1^4 + "
                                "[1234/667*G(7/2)/G(23/6)]*x1^2")
     for x in (0.7, -1.3, 2.0):
-        want = a.eval_float([x]) + b.eval_float([x])
-        assert total.eval_float([x]) == pytest.approx(want, rel=1e-15)
+        want = gpoly_value(a, x) + gpoly_value(b, x)
+        assert gpoly_value(total, x) == pytest.approx(want, rel=1e-15)
 
 
 def test_gpoly_eval_float():
     g = chi_one_var(P("x1^3"), F(1, 2))
     want = math.factorial(3) / math.gamma(0.5 + 3 + 1) * 0.5 ** 3
-    assert g.eval_float([0.5]) == pytest.approx(want, rel=1e-15)
+    assert gpoly_value(g, 0.5) == pytest.approx(want, rel=1e-15)
 
 
 # ---- fractional integrals, exact diagonal action ----
@@ -419,7 +427,6 @@ def test_chi_numeric_matches_exact_polynomial_layer():
     sub = build_subsystem_coordinate(2, [F(1, 2), F(3, 2)])
     p = P("x1^2*x2 + x2^2", 2)
     img, scale = chi_poly_scaled(sub, p)
-    from projdunkl.polycore import poly_eval
     x = [1.1, -0.6]
     got = chi_numeric(sub, lambda pt: poly_eval(p, pt), x)
     want = float(poly_eval(img, x)) * scale.to_float()
@@ -483,7 +490,7 @@ def test_dual_chi_frozen_value():
     # smooth plateau supported on [1, 3], kappa = 1, evaluated at x = 2;
     # reference from 50-digit adaptive integration
     g = get_function("ind13")
-    got = dual_chi(1.0, g, 2.0, support_bound=3.0)
+    got = dual_chi(1.0, g, 2.0)
     assert got == pytest.approx(0.3180083644326823, abs=5e-13)
 
 
@@ -492,11 +499,11 @@ def test_dual_chi_polynomial_cross_check():
     # (1/G(k)) int_x^A (t-x)^(k-1) t^(3-k) dt with k = 1 gives (A^3-x^3)/3... use k=1
     A, x = 2.0, 0.5
 
-    def g(t):
+    def cube(t):
         t = np.asarray(t, dtype=float)
         return np.where((t >= 0) & (t <= A), t, 0.0) ** 3
 
-    got = dual_chi(1.0, g, x, support_bound=A)
+    got = dual_chi(1.0, functions.TestFunction("cube", cube, None, A), x)
     assert got == pytest.approx((A ** 3 - x ** 3) / 3.0, rel=1e-12)
 
 
@@ -509,7 +516,7 @@ def test_dual_chi_outside_support_and_validation():
     with pytest.raises(ValueError):
         dual_chi(0.0, g, 0.5)
     with pytest.raises(ValueError):
-        dual_chi(0.5, lambda t: t, 0.5)  # no support bound anywhere
+        dual_chi(0.5, lambda t: t, 0.5)  # no support bound
 
 
 def test_dual_chi_negative_side_symmetry():
@@ -593,7 +600,7 @@ def test_dual_chi_array_calls_g_once_per_block():
 
     xs = np.concatenate([np.linspace(0.01, 0.45, 40), np.linspace(0.30, 0.31, 40),
                          np.linspace(0.55, 0.95, 10)])
-    got = dual_chi(0.5, value, xs, support_bound=1.0)
+    got = dual_chi(0.5, functions.TestFunction("bump", value, None, 1.0), xs)
     head = intertwine._END_ORDER * (intertwine._END_DEPTH + 1)
     h = np.minimum(xs, (1.0 - xs) / 2.0)
     fit = np.ceil(np.log2((1.0 - xs - h) / (4.0 * h))) + 4
@@ -616,13 +623,14 @@ def test_segment_mesh_grades_toward_zero_only(depth, monkeypatch):
     # plain cell where graded_panels grades toward 1; the first cell is the
     # graded rule of this depth, and reads no deeper one
     monkeypatch.setattr(quadrature, "_cache", {})
+    monkeypatch.setattr(quadrature, "_PANEL_DEPTH", depth)
     order = intertwine._DUAL_ORDER
     x, w = intertwine._segment_mesh(depth)
     assert [key for key in quadrature._cache if key[1]] == (
         [((order + 1) // 2, depth, 0.0)] if depth else [])
     assert np.all(np.diff(x) > 0) and 0.0 < x[0] and x[-1] < 1.0
     assert w.sum() == pytest.approx(1.0, rel=1e-15)
-    gx, gw = quadrature.graded_panels(0.0, 1.0, order, depth=depth)
+    gx, gw = quadrature.graded_panels(0.0, 1.0, order)
     kept = (depth + 1) * ((order + 1) // 2) + 2 * order
     assert x.size == kept + order
     assert np.array_equal(x[:kept], gx[:kept]) and np.array_equal(w[:kept], gw[:kept])
@@ -639,7 +647,7 @@ def test_dual_chi_nodes_on_the_factorization_mesh(monkeypatch):
     bump = get_function("bump")
     seen = []
     monkeypatch.setattr(transform, "dual_chi",
-                        lambda kappa, f, x, support_bound: seen.append(x) or np.zeros(x.shape))
+                        lambda kappa, f, x: seen.append(x) or np.zeros(x.shape))
     transform.transform_through_dual(bump, 0.5, [0.5])
     (xs,) = seen
     nodes = []
@@ -648,7 +656,7 @@ def test_dual_chi_nodes_on_the_factorization_mesh(monkeypatch):
         nodes.append(t.size)
         return bump.value(t)
 
-    got = dual_chi(0.5, value, xs, support_bound=bump.support_bound)
+    got = dual_chi(0.5, functions.TestFunction("bump", value, None, bump.support_bound), xs)
     assert xs.size == 960 and sum(nodes) <= 360_000
     assert np.array_equal(got, dual_chi(0.5, bump, xs))
 
@@ -687,14 +695,14 @@ def test_dual_chi_leading_term_at_zero(kappa):
         assert 5.0 < big / small < 20.0
 
 
-def duality_pairing(kappa, f, g, x_bound):
+def duality_pairing(kappa, f, g):
     """Both sides of integral (chi f) g dx = integral f (dual chi g) dx on [-B, B].
 
-    g must vanish outside [-B, B]; f only needs values on [-B, B]. The outer
-    mesh splits at 0, where the dual side has a kink, and at the corner
-    points of g.
+    B = g.support_bound; f only needs values on [-B, B]. The outer mesh
+    splits at 0, where the dual side has a kink, and at the corner points
+    of g.
     """
-    bnd = float(x_bound)
+    bnd = g.support_bound
     pts = sorted({-bnd, 0.0, bnd} | {float(c) for c in getattr(g, "corners", ())
                                      if -bnd < float(c) < bnd})
     lhs = 0.0
@@ -702,7 +710,7 @@ def duality_pairing(kappa, f, g, x_bound):
     for lo, hi in zip(pts[:-1], pts[1:]):
         xs, ws = quadrature.graded_panels(lo, hi, 32)
         chis = erdelyi_kober_I_numeric(0, kappa, f, xs)
-        duals = dual_chi(kappa, g, xs, support_bound=bnd)
+        duals = dual_chi(kappa, g, xs)
         lhs += float(np.dot(ws, chis * np.broadcast_to(g(xs), xs.shape)))
         rhs += float(np.dot(ws, np.broadcast_to(f(xs), xs.shape) * duals))
     return lhs, rhs
@@ -712,7 +720,7 @@ def test_duality_pairing_frozen_value():
     # f = x^2, g = smooth bump on [-1, 1], kappa = 1/2; both sides agree with
     # the 50-digit reference
     g = get_function("bump")
-    lhs, rhs = duality_pairing(0.5, lambda t: t * t, g, 1.0)
+    lhs, rhs = duality_pairing(0.5, lambda t: t * t, g)
     assert lhs == pytest.approx(0.114840352575153, abs=1e-12)
     assert rhs == pytest.approx(0.114840352575153, abs=1e-12)
     assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -721,5 +729,5 @@ def test_duality_pairing_frozen_value():
 def test_duality_pairing_plateau():
     # kappa = 1, f = x, g = the [1, 3] plateau: adjoint side must match
     g = get_function("ind13")
-    lhs, rhs = duality_pairing(1.0, lambda t: t, g, 3.0)
+    lhs, rhs = duality_pairing(1.0, lambda t: t, g)
     assert lhs == pytest.approx(rhs, rel=1e-11)

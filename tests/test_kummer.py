@@ -479,7 +479,7 @@ def test_rank_one_normalization_and_derivative():
     assert e.value(0.0) == pytest.approx(1.0, rel=1e-15)
     h = 1e-6
     fd = (e.value(0.3 + h) - e.value(0.3 - h)) / (2 * h)
-    assert abs(e.derivative(0.3) - fd) < 1e-8
+    assert abs(e.gradient(0.3) - fd) < 1e-8
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 1.5])
@@ -566,7 +566,7 @@ def test_eigen_multivar_rank_one_factor():
         r = eigen_rank_one(float(kappa), lam)
         for x in (-1.3, 0.0, 0.4, 2.2):
             assert abs(e.value([x]) - r.value(x)) <= 1e-15 * abs(r.value(x))
-            assert abs(e.gradient([x])[0] - r.derivative(x)) <= 1e-14 * abs(lam)
+            assert abs(e.gradient([x])[0] - r.gradient(x)) <= 1e-14 * abs(lam)
 
 
 def test_eigen_multivar_root_scale_invariant():

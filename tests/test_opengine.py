@@ -1,5 +1,6 @@
 """Operator core: exact application, decomposition, commutators, Laplacian."""
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +20,30 @@ from projdunkl import (
     laplacian_sum_sq,
     one_var_T,
     one_var_T_squared,
+    partial_derivative,
     rho_poly,
 )
-from projdunkl.functions import from_poly, get_function
+from projdunkl.functions import get_function
+from projdunkl.polycore import poly_eval
 
 
 def rv(*coords):
     return RationalVector([F(c) for c in coords])
+
+
+def as_numeric(p):
+    """p as a numeric function: value and gradient at a point, and for one
+    variable the scalar derivative and second derivative, by exact
+    evaluation."""
+    grads = [partial_derivative(p, j) for j in range(p.nvars)]
+    if p.nvars == 1:
+        second = partial_derivative(grads[0], 0)
+        return SimpleNamespace(value=lambda x: poly_eval(p, [x]),
+                               gradient=lambda x: poly_eval(grads[0], [x]),
+                               second_derivative=lambda x: poly_eval(second, [x]))
+    return SimpleNamespace(
+        value=lambda x: poly_eval(p, list(x)),
+        gradient=lambda x: np.array([poly_eval(g, list(x)) for g in grads], dtype=float))
 
 
 def P(text, nvars=None):
@@ -122,18 +140,17 @@ def test_commutator_validates_dim():
 def test_numeric_matches_poly_path():
     sub = build_subsystem_B(2, [F(1, 2)], [F(1)])
     p = P("x1^3 - x1*x2^2 + 2*x2", 2)
-    f = from_poly(p)
+    f = as_numeric(p)
     xi = rv(1, -2)
     exact = apply_T_poly(sub, xi, p)
     for x in ([0.7, 0.2], [-1.3, 0.9], [2.0, -0.5]):
         got = apply_T_numeric(sub, xi, f, np.array(x))
-        from projdunkl import poly_eval
         assert got == pytest.approx(poly_eval(exact, x), rel=1e-12, abs=1e-12)
 
 
 def test_numeric_accepts_float_direction():
     sub = build_subsystem_coordinate(2, [F(1, 2), F(1)])
-    f = from_poly(P("x1^2 + x2^2", 2))
+    f = as_numeric(P("x1^2 + x2^2", 2))
     a = apply_T_numeric(sub, rv(1, 1), f, np.array([0.4, 0.6]))
     b = apply_T_numeric(sub, np.array([1.0, 1.0]), f, np.array([0.4, 0.6]))
     assert a == pytest.approx(b, rel=1e-15)
@@ -142,7 +159,7 @@ def test_numeric_accepts_float_direction():
 def test_numeric_wall_guard_is_continuous():
     # crossing the hyperplane <x, alpha> = 0 must not blow up
     sub = build_subsystem_B(2, [F(1, 2)], [F(1)])
-    f = from_poly(P("x1^3 - x1*x2^2 + 2*x2", 2))
+    f = as_numeric(P("x1^3 - x1*x2^2 + 2*x2", 2))
     xi = rv(1, 1)
     on_wall = apply_T_numeric(sub, xi, f, np.array([0.8, 0.8]))
     near_wall = apply_T_numeric(sub, xi, f, np.array([0.8 + 1e-12, 0.8 - 1e-12]))
@@ -160,15 +177,14 @@ def test_one_var_T_poly_shift():
 
 
 def test_one_var_T_matches_poly():
-    f = from_poly(P("x1^3 + 2*x1", 1))
+    f = as_numeric(P("x1^3 + 2*x1", 1))
     shifted = one_var_T_poly(F(3, 2), P("x1^3 + 2*x1", 1))
-    from projdunkl import poly_eval
     for x in (0.5, -1.2, 2.0):
         assert one_var_T(1.5, f, x) == pytest.approx(poly_eval(shifted, [x]), rel=1e-13)
 
 
 def test_one_var_T_origin_limit():
-    f = from_poly(P("x1^2 + 4*x1", 1))
+    f = as_numeric(P("x1^2 + 4*x1", 1))
     # limit (1 + kappa) f'(0)
     assert one_var_T(0.5, f, 0.0) == pytest.approx(6.0)
     assert one_var_T(0.5, f, 1e-13) == pytest.approx(6.0)
@@ -178,8 +194,7 @@ def test_one_var_T_squared_matches_double_application():
     kappa = F(3, 2)
     p = P("x1^4 - 2*x1^2", 1)
     twice = one_var_T_poly(kappa, one_var_T_poly(kappa, p))
-    f = from_poly(p)
-    from projdunkl import poly_eval
+    f = as_numeric(p)
     for x in (0.4, -1.1, 2.3):
         got = one_var_T_squared(1.5, f, x)
         assert got == pytest.approx(poly_eval(twice, [x]), rel=1e-11)
@@ -189,9 +204,8 @@ def test_one_var_T_squared_origin_limit():
     p = P("x1^2", 1)
     kappa = F(1, 2)
     twice = one_var_T_poly(kappa, one_var_T_poly(kappa, p))
-    from projdunkl import poly_eval
     want = poly_eval(twice, [0.0])
-    f = from_poly(p)
+    f = as_numeric(p)
     assert one_var_T_squared(0.5, f, 0.0) == pytest.approx(want)
 
 

@@ -18,7 +18,6 @@ from projdunkl import (
     RationalVector,
     directional_derivative,
     partial_derivative,
-    poly_eval,
     project,
     rho_poly,
 )
@@ -26,6 +25,7 @@ from projdunkl.polycore import (
     _monomial_text,
     _segment_expansion,
     exact_div_var_power,
+    poly_eval,
     substitute_zero,
 )
 

@@ -97,7 +97,7 @@ def test_legendre_rule_unit_interval():
 
 
 @pytest.mark.parametrize("n", [12, 16, 32])
-def test_power_zero_rule_is_the_end_cell_of_graded_panels(n):
+def test_power_zero_rule_is_the_end_cell_of_graded_panels(n, monkeypatch):
     # the Legendre cell [0, 2^-depth] and slivers [2^-(k+1), 2^-k], built as
     # graded_panels built its sliver template, bit for bit
     nodes, weights = get_rule(n)
@@ -109,7 +109,8 @@ def test_power_zero_rule_is_the_end_cell_of_graded_panels(n):
         s, w = get_rule(n, depth)
         assert np.array_equal(s, want_s) and np.array_equal(w, want_w)
         # graded_panels at order 2n on [0, 4] has the end cell [0, 1]
-        x, xw = graded_panels(0.0, 4.0, 2 * n, depth=depth)
+        monkeypatch.setattr(quadrature, "_PANEL_DEPTH", depth)
+        x, xw = graded_panels(0.0, 4.0, 2 * n)
         assert np.array_equal(x[:s.size], s) and np.array_equal(xw[:s.size], w)
 
 
@@ -196,7 +197,8 @@ def test_sliver_templates_stay_bounded(monkeypatch):
     monkeypatch.setattr(quadrature, "_cache", {})
     first = get_rule(12, 3)
     for depth in range(4, 4 + quadrature._CACHE_SIZE + 10):
-        graded_panels(0.0, 1.0, 24, depth=depth)
+        monkeypatch.setattr(quadrature, "_PANEL_DEPTH", depth)
+        graded_panels(0.0, 1.0, 24)
         assert len(quadrature._cache) <= quadrature._CACHE_SIZE
     again = get_rule(12, 3)
     assert again is not first
@@ -227,8 +229,9 @@ def test_graded_panels_rejects_empty_range():
 
 def test_graded_panels_half_order_slivers():
     # four cells of 24 nodes on [-1, 3]; each end cell is 25 slivers of 12
-    depth = 24
-    x, w = graded_panels(-1.0, 3.0, 24, depth=depth)
+    depth = quadrature._PANEL_DEPTH
+    assert depth == 24
+    x, w = graded_panels(-1.0, 3.0, 24)
     assert x.size == 2 * 24 + 2 * (depth + 1) * 12
     assert np.all(np.diff(x) > 0) and x[0] > -1.0 and x[-1] < 3.0
     assert float(np.sum(w)) == pytest.approx(4.0, rel=1e-15)

@@ -13,6 +13,7 @@ from projdunkl import (
     project,
     reflect,
 )
+from projdunkl.cli import main
 
 
 def rv(*coords):
@@ -26,6 +27,10 @@ def test_parse_and_str_roundtrip():
     v = RationalVector.parse("(1/2, -3, 0)")
     assert v.coords == (F(1, 2), F(-3), F(0))
     assert RationalVector.parse(str(v)) == v
+    # a zero denominator is a bad literal, not a ZeroDivisionError
+    with pytest.raises(ValueError, match="not a rational literal"):
+        RationalVector.parse("(1/0, 2)")
+    assert RationalVector.parse("(3/04)").coords == (F(3, 4),)
 
 
 def test_unit_and_zero():
@@ -129,6 +134,38 @@ def test_json_roundtrip():
     assert again.dim == sub.dim
     assert again.roots == sub.roots
     assert again.kappas == sub.kappas
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('[1, 2]', "object"),
+    ('{"dim": 2.5, "roots": [], "kappas": []}', "'dim'"),
+    ('{"dim": true, "roots": [], "kappas": []}', "'dim'"),
+    ('{"dim": 0, "roots": [], "kappas": []}', "'dim'"),
+    ('{"dim": 2, "roots": [[1, 0]], "kappas": [0.5]}', "'kappas'"),
+    ('{"dim": 2, "roots": [[1, 0]], "kappas": "1"}', "'kappas'"),
+    ('{"dim": 2, "roots": [[1.0, 0]], "kappas": [1]}', "'roots'"),
+    ('{"dim": 2, "roots": [[true, 0]], "kappas": [1]}', "'roots'"),
+    ('{"dim": 2, "roots": [["1/0", 0]], "kappas": [1]}', "'roots'"),
+    ('{"dim": 2, "roots": [1], "kappas": [1]}', "'roots'"),
+    ('{"dim": 2, "roots": {"a": 1}, "kappas": [1]}', "'roots'"),
+], ids=["array", "float-dim", "bool-dim", "zero-dim", "float-kappa", "string-kappas",
+        "float-entry", "bool-entry", "zero-denominator", "root-not-a-list",
+        "roots-not-a-list"])
+def test_json_rejects_malformed_fields(doc, field):
+    with pytest.raises(ValueError, match=field):
+        OrthogonalSubsystem.from_json(doc)
+
+
+def test_json_reads_rational_strings_and_integers():
+    sub = OrthogonalSubsystem.from_json('{"dim": 2, "roots": [["1/2", -1]], "kappas": [" 3/4 "]}')
+    assert sub.roots == (rv(F(1, 2), -1),) and sub.kappas == (F(3, 4),)
+
+
+def test_cli_reports_a_malformed_subsystem_file(tmp_path, capsys):
+    frame = tmp_path / "frame.json"
+    frame.write_text('{"dim": 1, "roots": [[1]], "kappas": [0.5]}')
+    assert main(["eval", "chi", "--poly", "x1^2", "--subsystem", str(frame)]) == 1
+    assert "error: subsystem JSON field 'kappas'" in capsys.readouterr().err
 
 
 def test_builder_A_layout():

@@ -1,4 +1,5 @@
 """Deformed Fourier transform: frozen values, norm bounds, factorization."""
+import dataclasses
 import math
 import re
 
@@ -280,21 +281,21 @@ def test_transform_skips_kernel_where_f_vanishes(monkeypatch, name):
 def test_l1_norm_requires_support():
     with pytest.raises(ValueError):
         l1_norm(lambda x: np.exp(-x * x))
-    # explicit bound overrides the missing attribute
-    v = l1_norm(lambda x: np.ones_like(x), bound=2.0)
+    # the support bound is read from f
+    v = l1_norm(functions.TestFunction("one", np.ones_like, None, 2.0))
     assert v == pytest.approx(4.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0])
 @pytest.mark.parametrize("call", [
-    lambda f, a: dual_chi(0.5, f, 0.5, support_bound=a),
-    lambda f, a: kummer_transform(f, 0.5, 1.0, bound=a),
-    lambda f, a: l1_norm(f, bound=a),
-    lambda f, a: transform_through_dual(f, 0.5, [1.0], bound=a),
+    lambda f: dual_chi(0.5, f, 0.5),
+    lambda f: kummer_transform(f, 0.5, 1.0),
+    lambda f: l1_norm(f),
+    lambda f: transform_through_dual(f, 0.5, [1.0]),
 ], ids=["dual_chi", "kummer_transform", "l1_norm", "transform_through_dual"])
 def test_support_bound_must_be_positive_and_finite(call, bad):
     with pytest.raises(ValueError, match=re.escape(f"support bound {bad} ")):
-        call(get_function("bump"), bad)
+        call(dataclasses.replace(get_function("bump"), support_bound=bad))
 
 
 def test_transform_grid_and_csv_format():
@@ -323,10 +324,9 @@ def test_sup_norm_bound(kappa):
     assert observed.max() == pytest.approx(allowed, rel=1e-10)
 
 
-def _factorization_gap(f, kappa, lams, dual_kappa=None, **kwargs):
+def _factorization_gap(f, kappa, lams, dual_kappa=None):
     """max |F_kappa f - F_0(dual chi f)| over lams, the dual side at dual_kappa."""
-    through = transform_through_dual(f, kappa if dual_kappa is None else dual_kappa,
-                                     lams, **kwargs)
+    through = transform_through_dual(f, kappa if dual_kappa is None else dual_kappa, lams)
     return float(np.max(np.abs(transform_grid(f, kappa, lams) - through)))
 
 
@@ -350,17 +350,19 @@ def test_factorization_gate_over_domain(kappa):
     assert _factorization_gap(bump, kappa, [0.0, 0.5, 1.0, 2.0, 3.5, 5.0]) < 1e-10
 
 
-def test_factorization_core_remainder_is_second_order():
+def test_factorization_core_remainder_is_second_order(monkeypatch):
     # with the core in closed form what is left is O(xmin^2): a decade of
-    # xmin takes about two decades off the gap
+    # the core radius xmin takes about two decades off the gap
     bump = get_function("bump")
-    coarse = _factorization_gap(bump, 0.5, [0.5, 2.0], xmin=1e-4)
-    fine = _factorization_gap(bump, 0.5, [0.5, 2.0], xmin=1e-5)
+    monkeypatch.setattr(transform, "_XMIN", 1e-4)
+    coarse = _factorization_gap(bump, 0.5, [0.5, 2.0])
+    monkeypatch.setattr(transform, "_XMIN", 1e-5)
+    fine = _factorization_gap(bump, 0.5, [0.5, 2.0])
     assert 50.0 <= coarse / fine <= 200.0
 
 
 def test_factorization_rejects_corner_at_zero():
-    tent = functions.TestFunction("tent", 1, lambda x: np.maximum(0.0, 1.0 - np.abs(x)),
+    tent = functions.TestFunction("tent", lambda x: np.maximum(0.0, 1.0 - np.abs(x)),
                                   lambda x: -np.sign(x), 1.0, corners=(-1.0, 0.0, 1.0))
     with pytest.raises(ValueError, match="corner at 0"):
         transform_through_dual(tent, 0.5, [1.0])
@@ -387,11 +389,11 @@ def test_dual_map_rejects_kappa_whose_weight_exponent_rounds_to_minus_one(kappa)
 
 
 def test_factorization_xmin_validation():
+    # the closed-form core |x| < 1e-6 must lie inside the support
     bump = get_function("bump")
-    with pytest.raises(ValueError):
-        transform_through_dual(bump, 0.5, [1.0], xmin=2.0)
-    with pytest.raises(ValueError):
-        transform_through_dual(bump, 0.5, [1.0], xmin=0.0)
+    for bound in (1e-6, 1e-7):
+        with pytest.raises(ValueError, match="must exceed the core radius"):
+            transform_through_dual(dataclasses.replace(bump, support_bound=bound), 0.5, [1.0])
 
 
 def test_c0_decay():
